@@ -41,13 +41,14 @@
 //! at the source.
 
 use doubling_metric::graph::{Dist, Graph, NodeId};
+use doubling_metric::nets::NetHierarchy;
 use doubling_metric::space::MetricSpace;
 
 use netsim::bits::{bits_for_count, FieldWidths};
 use netsim::naming::Naming;
 use netsim::plane::{push_width_header, take_width_header, BitArena, BitCursor, ForwardingPlane};
 use netsim::route::{Route, RouteError, RouteRecorder};
-use netsim::scheme::{Label, LabeledScheme, Name};
+use netsim::scheme::{Label, Name};
 use searchtree::{PackedSearchTree, PackedTreeWidths, PayloadCodec, PortLabelCodec};
 use treeroute::PortLabel;
 
@@ -56,6 +57,16 @@ use crate::{NetLabeled, ScaleFreeLabeled};
 /// Width of the small structural header fields (level counts, size
 /// exponents) that are bounded by 64-ish but not by the metric widths.
 const SMALL_FIELD_BITS: u64 = 7;
+
+/// The label packed for every node. Inactive (churned-out) nodes keep
+/// their real tables, because routes between active nodes may still
+/// transit them exactly as in the reference scheme, but hold no label:
+/// they pack `num_active`, which no active node's label equals, so no
+/// route ever stops at them.
+fn packed_labels(nets: &NetHierarchy, n: usize) -> Vec<Label> {
+    let placeholder = nets.num_active() as Label;
+    (0..n as NodeId).map(|v| if nets.is_active(v) { nets.label(v) } else { placeholder }).collect()
+}
 
 /// Packs the optional name directory: a presence flag, then one label per
 /// name in name order.
@@ -135,13 +146,7 @@ impl NetLabeledPlane {
         let widths = FieldWidths::new(m);
         let cnt = bits_for_count(n as u64 + 1);
         let num_levels = s.num_levels();
-        // Inactive (churned-out) nodes pack a zero label and empty rings;
-        // they are unreachable through active tables, so the placeholder
-        // is never consulted. Routing from/to them is undefined, exactly
-        // as in the reference scheme.
-        let labels: Vec<Label> = (0..n as NodeId)
-            .map(|v| if s.nets().is_active(v) { s.label_of(v) } else { 0 })
-            .collect();
+        let labels = packed_labels(s.nets(), n);
 
         let mut arena = BitArena::new();
         push_width_header(&mut arena, &widths, cnt);
@@ -157,10 +162,9 @@ impl NetLabeledPlane {
         for u in 0..n as NodeId {
             node_off.push(arena.len_bits());
             arena.push(labels[u as usize] as u64, widths.node);
-            let active = s.nets().is_active(u);
             for i in 0..num_levels {
                 ring_off.push(arena.len_bits());
-                let ring = if active { s.ring(u, i) } else { &[] };
+                let ring = s.ring(u, i);
                 arena.push(ring.len() as u64, cnt);
                 for e in ring {
                     arena.push(e.x as u64, widths.node);
@@ -369,10 +373,7 @@ impl ScaleFreeLabeledPlane {
         let widths = FieldWidths::new(m);
         let cnt = bits_for_count(n as u64 + 1);
         let log2_n = s.log2_n();
-        // Placeholder rows for inactive nodes, as in [`NetLabeledPlane`].
-        let labels: Vec<Label> = (0..n as NodeId)
-            .map(|v| if s.nets().is_active(v) { s.label_of(v) } else { 0 })
-            .collect();
+        let labels = packed_labels(s.nets(), n);
 
         let mut arena = BitArena::new();
         push_width_header(&mut arena, &widths, cnt);
@@ -389,20 +390,14 @@ impl ScaleFreeLabeledPlane {
         for u in 0..n as NodeId {
             node_off.push(arena.len_bits());
             arena.push(labels[u as usize] as u64, widths.node);
-            let active = s.nets().is_active(u);
             for j in 0..=log2_n {
-                if !active {
-                    arena.push(0, cnt);
-                    arena.push(0, cnt);
-                    continue;
-                }
                 let packing = s.packings().at(j);
                 let k = packing.voronoi_index(u);
                 let local = s.cell(j, k).0.tree().local(u).expect("u is in its Voronoi region");
                 arena.push(k as u64, cnt);
                 arena.push(local as u64, cnt);
             }
-            let rings: &[_] = if active { s.rings_of(u) } else { &[] };
+            let rings = s.rings_of(u);
             arena.push(rings.len() as u64, cnt);
             for (i, ring) in rings {
                 arena.push(*i as u64, widths.level);
@@ -820,6 +815,7 @@ mod tests {
     use super::*;
     use doubling_metric::{gen, Eps};
     use netsim::plane::roundtrip_ok;
+    use netsim::LabeledScheme;
 
     #[test]
     fn net_labeled_plane_routes_match_reference() {
@@ -885,6 +881,63 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Checks that, after `gone` departed, plane routes between all other
+    /// nodes equal the reference routes, including the routes that
+    /// transit `gone`. Returns how many reference routes did.
+    fn routes_through_departed_match<P: ForwardingPlane>(
+        m: &MetricSpace,
+        label_of: impl Fn(NodeId) -> Label,
+        route: impl Fn(NodeId, Label) -> Route,
+        plane: &P,
+        gone: NodeId,
+    ) -> usize {
+        let mut transits = 0;
+        for u in (0..m.n() as NodeId).filter(|&u| u != gone) {
+            for v in (0..m.n() as NodeId).filter(|&v| v != gone) {
+                let want = route(u, label_of(v));
+                assert_eq!(want.dst, v);
+                assert_eq!(plane.route(m, u, label_of(v)).unwrap(), want, "{u}->{v}");
+                transits += usize::from(want.hops.len() > 2 && want.hops.contains(&gone));
+            }
+        }
+        transits
+    }
+
+    #[test]
+    fn planes_route_through_departed_nodes_like_the_reference() {
+        use doubling_metric::nets::{ChurnBatch, NetRepairBudget};
+        let m = MetricSpace::new(&gen::grid(7, 7));
+        let eps = Eps::one_over(8);
+        let gone = 24; // the grid's center: many shortest paths cross it
+        let leave = ChurnBatch::new(vec![], vec![gone]);
+        let budget = NetRepairBudget::unbounded();
+
+        let mut net = NetLabeled::new(&m, eps).unwrap();
+        net.repair(&m, &leave, &budget);
+        assert!(!net.nets().is_active(gone));
+        let plane = NetLabeledPlane::compile(&m, &net, None, 1);
+        let transits = routes_through_departed_match(
+            &m,
+            |v| net.label_of(v),
+            |u, l| net.route(&m, u, l).unwrap(),
+            &plane,
+            gone,
+        );
+        assert!(transits > 0, "no net-labeled route crossed the departed node");
+
+        let mut sf = ScaleFreeLabeled::new(&m, eps).unwrap();
+        sf.repair(&m, &leave, &budget);
+        let plane = ScaleFreeLabeledPlane::compile(&m, &sf, None, 1);
+        let transits = routes_through_departed_match(
+            &m,
+            |v| sf.label_of(v),
+            |u, l| sf.route(&m, u, l).unwrap(),
+            &plane,
+            gone,
+        );
+        assert!(transits > 0, "no scale-free-labeled route crossed the departed node");
     }
 
     #[test]

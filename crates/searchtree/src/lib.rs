@@ -31,8 +31,6 @@ pub mod packed;
 
 pub use packed::{PackedSearchTree, PackedTreeWidths, PayloadCodec, PortLabelCodec, U32Codec};
 
-use std::collections::HashMap;
-
 use doubling_metric::graph::{Dist, NodeId};
 use doubling_metric::space::MetricSpace;
 use treeroute::Tree;
@@ -103,8 +101,8 @@ pub struct SearchTree<D> {
     /// Lemma 4.3 relay accounting: for every *graph* node lying strictly
     /// inside the shortest path realizing a virtual tree edge, the number
     /// of next-hop entries it must store (two directions per edge it
-    /// relays). Keyed by graph node id.
-    relay_entries: HashMap<NodeId, u64>,
+    /// relays). Sorted by graph node id.
+    relay_entries: Vec<(NodeId, u64)>,
 }
 
 impl<D: Clone> SearchTree<D> {
@@ -122,62 +120,74 @@ impl<D: Clone> SearchTree<D> {
         pairs: Vec<(u64, D)>,
     ) -> Self {
         assert!(ball.contains(&center), "ball must contain its center");
-        {
-            let mut sorted = ball.to_vec();
-            sorted.sort_unstable();
-            let before = sorted.len();
-            sorted.dedup();
-            assert_eq!(before, sorted.len(), "ball must not contain duplicates");
-        }
+        let mut remaining = ball.to_vec();
+        remaining.sort_unstable();
+        let before = remaining.len();
+        remaining.dedup();
+        assert_eq!(before, remaining.len(), "ball must not contain duplicates");
+        remaining.retain(|&x| x != center);
+
+        // Per-graph-node scratch: `level[x]` is the net level `x` joined
+        // (`NONE` if not yet placed); `marked[x] == i` means `x` lies within
+        // `ρ_i − 1` of a level-`i` net point.
+        const NONE: u32 = u32::MAX;
+        let mut level = vec![NONE; m.n()];
+        let mut marked = vec![0u32; m.n()];
+        level[center as usize] = 0;
 
         // --- Layering (Definition 3.2 / 4.2). ---
-        let mut remaining: Vec<NodeId> = ball.iter().copied().filter(|&x| x != center).collect();
-        remaining.sort_unstable();
-
-        let mut level_sets: Vec<Vec<NodeId>> = vec![vec![center]];
         let mut edges: Vec<(NodeId, NodeId, Dist)> = Vec::new();
-        let mut level_of_node: Vec<(NodeId, u32)> = vec![(center, 0)];
+        // The last net level built (`U_0 = {center}` to start).
+        let mut sites: Vec<NodeId> = vec![center];
 
         let cap = config.max_levels.unwrap_or(u32::MAX);
         let mut i: u32 = 1;
         while !remaining.is_empty() && i <= cap {
             let rho = if i >= 64 { 0 } else { config.eps_r >> i };
-            // Greedy rho-net of `remaining` in id order.
+            // Greedy rho-net of `remaining` in id order: `x` joins unless an
+            // earlier net point lies strictly within rho, i.e. within
+            // `rho − 1` (distances are integers), which is exactly what the
+            // ball marks record. With rho == 0 everything joins.
             let mut net: Vec<NodeId> = Vec::new();
             let mut rest: Vec<NodeId> = Vec::new();
             for &x in &remaining {
-                let ok = net.iter().all(|&y| m.dist(x, y) >= rho);
-                if ok {
-                    net.push(x);
-                } else {
+                if marked[x as usize] == i {
                     rest.push(x);
+                    continue;
+                }
+                net.push(x);
+                if rho > 0 {
+                    for &(_, y) in m.ball(x, rho - 1) {
+                        marked[y as usize] = i;
+                    }
                 }
             }
             // Everything not selected but within rho of the net stays for
             // later levels — the net covers them; they are *not* members.
-            // (Greedy maximality guarantees covering of `remaining`.)
-            let prev = &level_sets[i as usize - 1];
+            // Parents: the nearest previous-level point, least id on ties —
+            // the first one in the `(dist, id)`-sorted row. Covering keeps
+            // the scan inside `B(v, ρ_{i−1})`.
             for &v in &net {
-                let p = m.nearest_in(v, prev).expect("previous level nonempty");
+                let p = if i == 1 { center } else { first_at_level(m, v, &level, i - 1) };
                 edges.push((v, p, m.dist(v, p)));
-                level_of_node.push((v, i));
+                level[v as usize] = i;
             }
-            level_sets.push(net);
+            sites = net;
             remaining = rest;
             i += 1;
         }
-        let levels = (level_sets.len() - 1) as u32;
+        let levels = i - 1;
 
         // --- Definition 4.2 tails for leftovers. ---
         let has_tails = !remaining.is_empty();
         if has_tails {
-            let sites = &level_sets[levels as usize];
             assert!(!sites.is_empty(), "tails require a nonempty last net level");
-            // Voronoi assignment of leftovers to last-level sites.
+            // Voronoi assignment of leftovers to last-level sites (sites are
+            // in id order, so a site's index is a binary search away).
             let mut tail_members: Vec<Vec<NodeId>> = vec![Vec::new(); sites.len()];
             for &x in &remaining {
-                let u = m.nearest_in(x, sites).expect("sites nonempty");
-                let k = sites.iter().position(|&s| s == u).expect("site found");
+                let u = first_at_level(m, x, &level, levels);
+                let k = sites.binary_search(&u).expect("site found");
                 tail_members[k].push(x);
             }
             for (k, members) in tail_members.iter().enumerate() {
@@ -185,7 +195,7 @@ impl<D: Clone> SearchTree<D> {
                 for &x in members {
                     // members are in id order (remaining was sorted).
                     edges.push((x, prev, m.dist(x, prev)));
-                    level_of_node.push((x, levels + 1));
+                    level[x as usize] = levels + 1;
                     prev = x;
                 }
             }
@@ -193,22 +203,29 @@ impl<D: Clone> SearchTree<D> {
 
         // Lemma 4.3: each virtual edge (u, v) is realized by the shortest
         // path between its endpoints, whose interior nodes store next-hop
-        // entries in both directions. Tally those entries per graph node.
-        let mut relay_entries: HashMap<NodeId, u64> = HashMap::new();
+        // entries in both directions. Tally those entries per graph node by
+        // walking the parent's shortest-path tree up from the child.
+        let apsp = m.apsp();
+        let mut count = vec![0u64; m.n()];
+        let mut relays: Vec<NodeId> = Vec::new();
         for &(child, parent, _) in &edges {
-            let path = m.path(parent, child);
-            for &x in &path[1..path.len().saturating_sub(1)] {
-                *relay_entries.entry(x).or_insert(0) += 2;
+            let mut x = apsp.parent(parent, child);
+            while x != parent {
+                if count[x as usize] == 0 {
+                    relays.push(x);
+                }
+                count[x as usize] += 2;
+                x = apsp.parent(parent, x);
             }
         }
+        relays.sort_unstable();
+        let relay_entries: Vec<(NodeId, u64)> =
+            relays.into_iter().map(|x| (x, count[x as usize])).collect();
 
         let tree = Tree::new(center, edges).expect("layering forms a tree");
         debug_assert_eq!(tree.len(), ball.len(), "every ball member is placed");
 
-        let mut level_of = vec![0u32; tree.len()];
-        for (x, lv) in level_of_node {
-            level_of[tree.local(x).expect("member") as usize] = lv;
-        }
+        let level_of: Vec<u32> = tree.nodes().iter().map(|&x| level[x as usize]).collect();
 
         let mut st = SearchTree {
             center,
@@ -533,14 +550,27 @@ impl<D: Clone> SearchTree<D> {
     /// shortest path passes strictly through `v`). Defined for *any* graph
     /// node, member or not.
     pub fn relay_bits(&self, v: NodeId, node_bits: u64) -> u64 {
-        self.relay_entries.get(&v).copied().unwrap_or(0) * node_bits
+        self.relay_entries
+            .binary_search_by_key(&v, |&(x, _)| x)
+            .map_or(0, |idx| self.relay_entries[idx].1)
+            * node_bits
     }
 
     /// Graph nodes (with entry counts) that relay this tree's virtual
-    /// edges without being members.
+    /// edges without being members, in ascending id order.
     pub fn relay_nodes(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.relay_entries.iter().map(|(&v, &c)| (v, c))
+        self.relay_entries.iter().copied()
     }
+}
+
+/// The first node of `v`'s `(dist, id)`-sorted row placed at net level
+/// `lv`: its nearest level-`lv` point, least id on ties.
+fn first_at_level(m: &MetricSpace, v: NodeId, level: &[u32], lv: u32) -> NodeId {
+    m.sorted_row(v)
+        .iter()
+        .map(|&(_, y)| y)
+        .find(|&y| level[y as usize] == lv)
+        .expect("net level is nonempty")
 }
 
 #[cfg(test)]

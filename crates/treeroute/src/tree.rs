@@ -2,10 +2,11 @@
 //!
 //! The trees the routing schemes build (Voronoi shortest-path trees
 //! `T_c(j)`, search trees, local tail trees) live over subsets of the
-//! graph's nodes; [`Tree`] maps between graph ids and dense local indices
-//! and validates tree-ness on construction.
+//! graph's nodes; [`Tree`] numbers its members with dense local indices
+//! (the root first, then the other members in ascending id order) and
+//! validates tree-ness on construction. Since the members past the root
+//! are sorted, a graph id's local index is found by binary search.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use doubling_metric::graph::{Dist, NodeId};
@@ -62,7 +63,6 @@ impl std::error::Error for TreeError {}
 pub struct Tree {
     /// Local index → graph node id. Index 0 is the root.
     nodes: Vec<NodeId>,
-    local: HashMap<NodeId, u32>,
     parent: Vec<u32>,
     children: Vec<Vec<u32>>,
     weight_up: Vec<Dist>,
@@ -81,15 +81,10 @@ impl Tree {
         root: NodeId,
         edges: impl IntoIterator<Item = (NodeId, NodeId, Dist)>,
     ) -> Result<Self, TreeError> {
-        let mut parent_of: HashMap<NodeId, (NodeId, Dist)> = HashMap::new();
-        let mut mentioned: Vec<NodeId> = vec![root];
-        for (c, p, w) in edges {
-            if c == root {
-                return Err(TreeError::RootHasParent);
-            }
-            if parent_of.insert(c, (p, w)).is_some() {
-                return Err(TreeError::DuplicateChild { child: c });
-            }
+        let edges: Vec<(NodeId, NodeId, Dist)> = edges.into_iter().collect();
+        let mut mentioned: Vec<NodeId> = Vec::with_capacity(2 * edges.len() + 1);
+        mentioned.push(root);
+        for &(c, p, _) in &edges {
             mentioned.push(c);
             mentioned.push(p);
         }
@@ -100,26 +95,31 @@ impl Tree {
         // deterministic convention used throughout the workspace).
         let mut nodes = Vec::with_capacity(mentioned.len());
         nodes.push(root);
-        for &x in &mentioned {
-            if x != root {
-                nodes.push(x);
-            }
-        }
-        let local: HashMap<NodeId, u32> =
-            nodes.iter().enumerate().map(|(i, &x)| (x, i as u32)).collect();
+        nodes.extend(mentioned.into_iter().filter(|&x| x != root));
 
-        let mut parent = vec![0u32; nodes.len()];
+        // Edges are checked in input order, so the reported error is the
+        // first one the input exhibits. `NO_PARENT` marks a node whose
+        // parent edge has not been seen yet.
+        const NO_PARENT: u32 = u32::MAX;
+        let mut parent = vec![NO_PARENT; nodes.len()];
         let mut weight_up = vec![0 as Dist; nodes.len()];
         let mut children: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
-        for (&c, &(p, w)) in &parent_of {
-            let cl = local[&c];
-            let pl = *local.get(&p).expect("parent mentioned");
+        for &(c, p, w) in &edges {
+            if c == root {
+                return Err(TreeError::RootHasParent);
+            }
+            let cl = local_in(&nodes, c).expect("child mentioned");
+            if parent[cl as usize] != NO_PARENT {
+                return Err(TreeError::DuplicateChild { child: c });
+            }
+            let pl = local_in(&nodes, p).expect("parent mentioned");
             parent[cl as usize] = pl;
             weight_up[cl as usize] = w;
             children[pl as usize].push(cl);
         }
+        parent[0] = 0;
         for ch in &mut children {
-            ch.sort_unstable_by_key(|&c| nodes[c as usize]);
+            ch.sort_unstable();
         }
 
         // Verify reachability (tree-ness) and compute subtree sizes.
@@ -146,7 +146,7 @@ impl Tree {
                 1 + children[u as usize].iter().map(|&c| size[c as usize]).sum::<u32>();
         }
 
-        Ok(Tree { nodes, local, parent, children, weight_up, subtree_size: size })
+        Ok(Tree { nodes, parent, children, weight_up, subtree_size: size })
     }
 
     /// A single-node tree.
@@ -181,13 +181,13 @@ impl Tree {
     /// Local index of graph node `x`, if present.
     #[inline]
     pub fn local(&self, x: NodeId) -> Option<u32> {
-        self.local.get(&x).copied()
+        local_in(&self.nodes, x)
     }
 
     /// Whether graph node `x` belongs to the tree.
     #[inline]
     pub fn contains(&self, x: NodeId) -> bool {
-        self.local.contains_key(&x)
+        self.local(x).is_some()
     }
 
     /// Parent local index (root maps to itself).
@@ -279,6 +279,16 @@ impl Tree {
     }
 }
 
+/// Local index of `x` in `nodes` (root first, then ascending ids): `0`
+/// for the root, otherwise a binary search of the sorted tail.
+#[inline]
+fn local_in(nodes: &[NodeId], x: NodeId) -> Option<u32> {
+    if x == nodes[0] {
+        return Some(0);
+    }
+    nodes[1..].binary_search(&x).ok().map(|i| i as u32 + 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,12 +338,50 @@ mod tests {
     fn rejects_duplicate_parent() {
         let err = Tree::new(0, vec![(1, 0, 1), (1, 2, 1), (2, 0, 1)]).unwrap_err();
         assert_eq!(err, TreeError::DuplicateChild { child: 1 });
+        // The child named is the one whose second edge comes first in
+        // input order: here 3's, then 1's.
+        let err = Tree::new(0, vec![(1, 0, 1), (3, 0, 1), (3, 1, 1), (1, 3, 1)]).unwrap_err();
+        assert_eq!(err, TreeError::DuplicateChild { child: 3 });
+        let err = Tree::new(0, vec![(1, 0, 1), (3, 0, 1), (1, 3, 1), (3, 1, 1)]).unwrap_err();
+        assert_eq!(err, TreeError::DuplicateChild { child: 1 });
+        // A repeated identical edge and a self-loop after a real edge both
+        // count as a second parent.
+        let err = Tree::new(0, vec![(2, 0, 1), (2, 0, 1)]).unwrap_err();
+        assert_eq!(err, TreeError::DuplicateChild { child: 2 });
+        let err = Tree::new(0, vec![(2, 0, 1), (2, 2, 1)]).unwrap_err();
+        assert_eq!(err, TreeError::DuplicateChild { child: 2 });
+    }
+
+    #[test]
+    fn local_and_contains_with_the_root_amid_the_ids() {
+        // Root 30 sits in the middle of the id range: local 0, members
+        // below and above it take 1.. in ascending id order.
+        let t = Tree::new(30, vec![(10, 30, 1), (50, 30, 1), (20, 10, 1), (40, 50, 1)]).unwrap();
+        assert_eq!(t.nodes(), &[30, 10, 20, 40, 50]);
+        assert_eq!(t.local(30), Some(0));
+        for (i, &x) in t.nodes().iter().enumerate() {
+            assert_eq!(t.local(x), Some(i as u32));
+            assert_eq!(t.node(i as u32), x);
+            assert!(t.contains(x));
+        }
+        for x in [0, 15, 29, 31, 45, 51, NodeId::MAX] {
+            assert_eq!(t.local(x), None, "{x} is not a member");
+            assert!(!t.contains(x));
+        }
+        let single = Tree::singleton(7);
+        assert_eq!(single.local(7), Some(0));
+        assert!(!single.contains(6) && !single.contains(8));
     }
 
     #[test]
     fn rejects_root_as_child() {
         let err = Tree::new(0, vec![(0, 1, 1)]).unwrap_err();
         assert_eq!(err, TreeError::RootHasParent);
+        // The first offending edge decides between the two errors.
+        let err = Tree::new(0, vec![(1, 0, 1), (0, 1, 1), (1, 2, 1)]).unwrap_err();
+        assert_eq!(err, TreeError::RootHasParent);
+        let err = Tree::new(0, vec![(1, 0, 1), (1, 2, 1), (0, 1, 1)]).unwrap_err();
+        assert_eq!(err, TreeError::DuplicateChild { child: 1 });
     }
 
     #[test]
@@ -341,6 +389,12 @@ mod tests {
         // 1 -> 2 -> 3 -> 1 plus root 0 disconnected from the cycle.
         let err = Tree::new(0, vec![(1, 2, 1), (2, 3, 1), (3, 1, 1)]).unwrap_err();
         assert!(matches!(err, TreeError::NotATree { .. }));
+        // 2 hangs off 3, which has no parent edge: only 0 and 1 are reachable.
+        let err = Tree::new(0, vec![(1, 0, 1), (2, 3, 1)]).unwrap_err();
+        assert_eq!(err, TreeError::NotATree { reachable: 2, total: 4 });
+        // A self-loop is a node whose only parent is itself.
+        let err = Tree::new(0, vec![(1, 0, 1), (2, 2, 1)]).unwrap_err();
+        assert_eq!(err, TreeError::NotATree { reachable: 2, total: 3 });
     }
 
     #[test]
