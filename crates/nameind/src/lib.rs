@@ -42,6 +42,34 @@ pub use plane::{ScaleFreeNiPlane, SimpleNiPlane};
 pub use scale_free::{FacilityView, ScaleFreeNameIndependent};
 pub use simple::SimpleNameIndependent;
 
+use netsim::bits::FieldWidths;
+use netsim::scheme::Label;
+use searchtree::SearchTree;
+
+/// Adds one search tree's per-node table share (member storage plus
+/// non-member Lemma 4.3 relay entries, every field `widths.node` bits)
+/// into `search_bits`. Both schemes sum their shares from scratch with it,
+/// and repair adds the share of each new tree.
+pub(crate) fn add_tree_share(
+    search_bits: &mut [u64],
+    widths: FieldWidths,
+    tree: &SearchTree<Label>,
+) {
+    let w = widths.node;
+    tree.for_each_share(w, w, |_| w, |v, bits| search_bits[v as usize] += bits);
+}
+
+/// Takes a dropped or rebuilt tree's [`add_tree_share`] back out of
+/// `search_bits`.
+pub(crate) fn remove_tree_share(
+    search_bits: &mut [u64],
+    widths: FieldWidths,
+    tree: &SearchTree<Label>,
+) {
+    let w = widths.node;
+    tree.for_each_share(w, w, |_| w, |v, bits| search_bits[v as usize] -= bits);
+}
+
 /// The paper's Lemma 3.4 stretch bound `1 + 8(1/ε + 1)/(1/ε − 2)` as a
 /// float (it tends to `9` as `ε → 0`). This is the *search-layer* bound;
 /// the composed scheme's cost additionally carries the underlying labeled
@@ -55,7 +83,8 @@ pub fn lemma_3_4_bound(eps: doubling_metric::Eps) -> f64 {
 /// Acceptance envelope used by tests and the benchmark harness: Lemma 3.4
 /// with a 1.5× allowance on the additive term for the underlying labeled
 /// scheme's own `1+O(ε)` stretch applied to the zoom/search/final legs.
-/// Still `9 + O(ε)` as `ε → 0` in the sense required by Theorem 1.4/1.1.
+/// It tends to `13`, not `9`, as `ε → 0`: it is a test envelope, looser
+/// than the `9 + O(ε)` of Theorems 1.4/1.1.
 pub fn stretch_envelope(eps: doubling_metric::Eps) -> f64 {
     let inv = eps.den() as f64 / eps.num() as f64;
     1.0 + 12.0 * (inv + 1.0) / (inv - 2.0)

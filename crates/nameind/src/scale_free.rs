@@ -42,6 +42,7 @@ use obs::Tracer;
 use searchtree::{SearchTree, SearchTreeConfig};
 
 use crate::rounds::Rounds;
+use crate::{add_tree_share, remove_tree_share};
 
 /// The `(name, label)` pairs for the given (active) nodes. Keys are names,
 /// so the store order is irrelevant.
@@ -124,53 +125,60 @@ fn build_own_tree(
     )
 }
 
-/// Decides the facility of round host `y`: the minimal-`j` qualifying
-/// packed ball with an *active* center, or an own 𝒜-type tree.
-#[allow(clippy::too_many_arguments)]
-fn compute_facility(
+/// Whether packed ball `b ∈ ℬ_j` passes the two distance conditions of
+/// `H(y, k)` for round host `y` (radius `rho`, host scale `s_host`),
+/// regardless of its center's activity; returns `d(y, c)` if so:
+///   (1) d(y,c) + r_c(j) ≤ ρ_k + 2^{i_k}
+///       [B inside the slightly enlarged search ball around y]
+///   (2) d(y,c) + ρ_k ≤ r_c(j+2)
+///       [y's search ball inside the indexed ball]
+/// — exact integer comparisons on the physical metric, so only a change
+/// of the center's activity can change whether `b` qualifies.
+fn link_distance(
     m: &MetricSpace,
-    eps: Eps,
-    naming: &Naming,
+    y: NodeId,
+    rho: Dist,
+    s_host: Dist,
+    log2_n: u32,
+    j: u32,
+    b: &PackedBall,
+) -> Option<Dist> {
+    let d = m.dist(y, b.center);
+    if d.saturating_add(b.radius) > rho.saturating_add(s_host) {
+        return None;
+    }
+    let r_big = m.r_small(b.center, (j + 2).min(log2_n));
+    (d.saturating_add(rho) <= r_big).then_some(d)
+}
+
+/// Finds `H(y, k)`: minimal `j`, then minimal `(d(y,c), c)`, over the
+/// packed balls that pass [`link_distance`] and have an *active* center.
+/// `None` means `y` keeps an own 𝒜-type tree.
+fn find_link(
+    m: &MetricSpace,
     underlying: &ScaleFreeLabeled,
     y: NodeId,
     rho: Dist,
     s_host: Dist,
     log2_n: u32,
-) -> Facility {
-    // Find H(y, k): minimal j, then minimal (d(y,c), c), with
-    //   (1) d(y,c) + r_c(j) ≤ ρ_k + 2^{i_k}
-    //       [B inside the slightly enlarged search ball around y]
-    //   (2) d(y,c) + ρ_k ≤ r_c(j+2)
-    //       [y's search ball inside the indexed ball]
-    // — exact integer comparisons; inactive centers never qualify.
-    for j in 0..=log2_n {
-        let packing = underlying.packings().at(j);
+) -> Option<(u32, u32)> {
+    (0..=log2_n).find_map(|j| {
         let mut best: Option<(u64, NodeId, u32)> = None;
-        for (bk, b) in packing.balls().iter().enumerate() {
+        for (bk, b) in underlying.packings().at(j).balls().iter().enumerate() {
             if !underlying.nets().is_active(b.center) {
                 continue;
             }
-            let d = m.dist(y, b.center);
-            if d.saturating_add(b.radius) > rho.saturating_add(s_host) {
-                continue;
-            }
-            let r_big = m.r_small(b.center, (j + 2).min(log2_n));
-            if d.saturating_add(rho) > r_big {
-                continue;
-            }
+            let Some(d) = link_distance(m, y, rho, s_host, log2_n, j, b) else { continue };
             if best.is_none_or(|(bd, bc, _)| (d, b.center) < (bd, bc)) {
                 best = Some((d, b.center, bk as u32));
             }
         }
-        if let Some((_, _, bk)) = best {
-            return Facility::Link { j, ball: bk };
-        }
-    }
-    Facility::Own(Box::new(build_own_tree(m, eps, naming, underlying, y, rho)))
+        best.map(|(_, _, bk)| (j, bk))
+    })
 }
 
-/// Per-node search-tree storage shares (ℬ-type + own 𝒜-type), recomputed
-/// wholesale after any tree change.
+/// Per-node search-tree storage shares (bits) of every ℬ-type and own
+/// 𝒜-type tree.
 fn compute_search_bits(
     n: usize,
     widths: FieldWidths,
@@ -178,27 +186,12 @@ fn compute_search_bits(
     facility: &[Vec<Facility>],
 ) -> Vec<u64> {
     let mut search_bits = vec![0u64; n];
-    let mut tally = |tree: &SearchTree<Label>| {
-        for &v in tree.tree().nodes() {
-            search_bits[v as usize] +=
-                tree.storage_bits(v, widths.node, widths.node, |_| widths.node);
-        }
-        for (v, _) in tree.relay_nodes() {
-            if !tree.contains(v) {
-                search_bits[v as usize] += tree.relay_bits(v, widths.node);
-            }
-        }
-    };
-    for level in btrees {
-        for tree in level {
-            tally(tree);
-        }
+    for tree in btrees.iter().flatten() {
+        add_tree_share(&mut search_bits, widths, tree);
     }
-    for level in facility {
-        for f in level {
-            if let Facility::Own(tree) = f {
-                tally(tree);
-            }
+    for f in facility.iter().flatten() {
+        if let Facility::Own(tree) = f {
+            add_tree_share(&mut search_bits, widths, tree);
         }
     }
     search_bits
@@ -377,8 +370,16 @@ impl ScaleFreeNameIndependent {
                         .nets()
                         .level(host)
                         .iter()
-                        .map(|&y| {
-                            compute_facility(m, eps, &naming, &underlying, y, rho, s_host, log2_n)
+                        .map(|&y| match find_link(m, &underlying, y, rho, s_host, log2_n) {
+                            Some((j, ball)) => Facility::Link { j, ball },
+                            None => Facility::Own(Box::new(build_own_tree(
+                                m,
+                                eps,
+                                &naming,
+                                &underlying,
+                                y,
+                                rho,
+                            ))),
                         })
                         .collect()
                 })
@@ -406,13 +407,17 @@ impl ScaleFreeNameIndependent {
     /// The underlying scale-free labeled scheme repairs first. A ℬ-type
     /// tree is rebuilt only when its indexed ball `B_c(r_big)` was touched
     /// by some churned node (this covers the skeleton and the center's own
-    /// activity); untouched ℬ-trees re-store their renumbered pairs. If no
-    /// churned node is a packing center, facility *decisions* are provably
-    /// stable — kept links are copied, kept own trees are rebuilt only when
-    /// their ball `B_y(ρ_k)` was touched and refreshed otherwise; if a
-    /// packing center churned, every facility is re-decided from scratch.
-    /// Search-bit shares are recomputed wholesale. The result is
-    /// byte-identical to [`Self::new_over`] on the post-churn active set.
+    /// activity); untouched ℬ-trees are relabeled in place. A host's
+    /// facility is re-decided only when some churned node is the center of
+    /// a packed ball that passes the `H(y, k)` distance conditions for it
+    /// at a level no greater than the kept link's (any level for an own
+    /// tree): eligibility depends only on physical distances and on the
+    /// centers' activity, so every other decision provably stands. A kept
+    /// own tree is rebuilt only when its ball `B_y(ρ_k)` was touched and
+    /// relabeled in place otherwise. Bit shares are updated by taking out
+    /// those of dropped or rebuilt trees and adding those of new trees.
+    /// The result is byte-identical to [`Self::new_over`] on the
+    /// post-churn active set.
     ///
     /// # Panics
     ///
@@ -431,95 +436,99 @@ impl ScaleFreeNameIndependent {
         let (net, rr, cells_refreshed) = self.underlying.repair(m, batch, budget);
 
         let changed = batch.changed();
+        let (naming, underlying, widths) = (&self.naming, &self.underlying, self.widths);
+        let search_bits = &mut self.search_bits;
+        let label_of_key = |key: u64| underlying.label_of(naming.node_of(key as Name));
         let mut tr = TreeRepair { rebuilt: 0, refreshed: cells_refreshed };
 
         // ℬ-type trees: the packing is physical, so the tree list shape is
-        // static; only contents react to churn.
-        for j in 0..=log2_n {
-            for bk in 0..self.underlying.packings().at(j).balls().len() {
-                let ball = &self.underlying.packings().at(j).balls()[bk];
+        // static; only contents react to churn. Collect on the way the
+        // packed balls whose center churned: the only balls whose link
+        // eligibility can change.
+        let mut churned_balls: Vec<(u32, &PackedBall)> = Vec::new();
+        for (j, trees) in (0..=log2_n).zip(self.btrees.iter_mut()) {
+            for (ball, tree) in underlying.packings().at(j).balls().iter().zip(trees.iter_mut()) {
                 let c = ball.center;
+                if changed.binary_search(&c).is_ok() {
+                    churned_balls.push((j, ball));
+                }
                 let r_big = m.r_small(c, (j + 2).min(log2_n));
                 if changed.iter().any(|&v| m.dist(v, c) <= r_big) {
-                    self.btrees[j as usize][bk] =
-                        build_btree(m, eps, &self.naming, &self.underlying, ball, r_big);
+                    remove_tree_share(search_bits, widths, tree);
+                    *tree = build_btree(m, eps, naming, underlying, ball, r_big);
+                    add_tree_share(search_bits, widths, tree);
                     tr.rebuilt += 1;
                 } else {
-                    let pairs = btree_pairs(m, &self.naming, &self.underlying, c, r_big);
-                    self.btrees[j as usize][bk].refresh_pairs(pairs);
+                    tree.relabel(label_of_key);
                     tr.refreshed += 1;
                 }
             }
         }
 
-        // Facility decisions are invariant under churn that avoids packing
-        // centers: eligibility depends only on physical distances/radii and
-        // the centers' activity.
-        let centers_touched = changed.iter().any(|&v| {
-            (0..=log2_n)
-                .any(|j| self.underlying.packings().at(j).balls().iter().any(|b| b.center == v))
-        });
-        #[allow(clippy::needless_range_loop)] // k also indexes self.facility
-        for k in 0..self.rounds.count() {
+        for (k, facility) in self.facility.iter_mut().enumerate() {
             let rho = self.rounds.radius(k);
             let host = self.rounds.host_level(k);
             let s_host = m.scale(host);
-            let hosts = self.underlying.nets().level(host).to_vec();
             let mut old: Vec<Option<Facility>> =
-                std::mem::take(&mut self.facility[k]).into_iter().map(Some).collect();
-            self.facility[k] = hosts
+                std::mem::take(facility).into_iter().map(Some).collect();
+            *facility = underlying
+                .nets()
+                .level(host)
                 .iter()
                 .map(|&y| {
-                    let prev = if centers_touched {
-                        None
-                    } else {
-                        old_hosts[k].binary_search(&y).ok().and_then(|j| old[j].take())
+                    let prev = old_hosts[k].binary_search(&y).ok().and_then(|i| old[i].take());
+                    // A churned center can flip the decision only if it
+                    // qualifies at a level the previous decision did not
+                    // already settle.
+                    let flips_at_or_below = |limit: u32| {
+                        churned_balls.iter().any(|&(j, b)| {
+                            j <= limit && link_distance(m, y, rho, s_host, log2_n, j, b).is_some()
+                        })
                     };
-                    match prev {
-                        Some(Facility::Link { j, ball }) => Facility::Link { j, ball },
-                        Some(Facility::Own(mut tree)) => {
-                            if changed.iter().any(|&v| m.dist(v, y) <= rho) {
-                                tr.rebuilt += 1;
-                                Facility::Own(Box::new(build_own_tree(
-                                    m,
-                                    eps,
-                                    &self.naming,
-                                    &self.underlying,
-                                    y,
-                                    rho,
-                                )))
-                            } else {
-                                // Ball ∩ active unchanged: keep the skeleton,
-                                // re-store the renumbered labels.
-                                let pairs =
-                                    pairs_for(&self.naming, &self.underlying, tree.tree().nodes());
-                                tree.refresh_pairs(pairs);
-                                tr.refreshed += 1;
-                                Facility::Own(tree)
-                            }
+                    let link = match &prev {
+                        Some(Facility::Link { j, ball }) if !flips_at_or_below(*j) => {
+                            Some((*j, *ball))
                         }
-                        None => {
-                            let f = compute_facility(
-                                m,
-                                eps,
-                                &self.naming,
-                                &self.underlying,
-                                y,
-                                rho,
-                                s_host,
-                                log2_n,
-                            );
-                            if matches!(f, Facility::Own(_)) {
-                                tr.rebuilt += 1;
+                        Some(Facility::Own(_)) if !flips_at_or_below(log2_n) => None,
+                        _ => find_link(m, underlying, y, rho, s_host, log2_n),
+                    };
+                    let prev_tree = match prev {
+                        Some(Facility::Own(tree)) => Some(tree),
+                        _ => None,
+                    };
+                    if let Some((j, ball)) = link {
+                        if let Some(tree) = prev_tree {
+                            remove_tree_share(search_bits, widths, &tree);
+                        }
+                        return Facility::Link { j, ball };
+                    }
+                    match prev_tree {
+                        Some(mut tree) if !changed.iter().any(|&v| m.dist(v, y) <= rho) => {
+                            // Ball ∩ active unchanged: keep the skeleton and
+                            // the keys, relabel the payloads.
+                            tree.relabel(label_of_key);
+                            tr.refreshed += 1;
+                            Facility::Own(tree)
+                        }
+                        prev_tree => {
+                            if let Some(tree) = prev_tree {
+                                remove_tree_share(search_bits, widths, &tree);
                             }
-                            f
+                            let tree = build_own_tree(m, eps, naming, underlying, y, rho);
+                            add_tree_share(search_bits, widths, &tree);
+                            tr.rebuilt += 1;
+                            Facility::Own(Box::new(tree))
                         }
                     }
                 })
                 .collect();
+            // Hosts that left the level take their own trees' shares along.
+            for f in old.into_iter().flatten() {
+                if let Facility::Own(tree) = f {
+                    remove_tree_share(search_bits, widths, &tree);
+                }
+            }
         }
-
-        self.search_bits = compute_search_bits(m.n(), self.widths, &self.btrees, &self.facility);
         (net, rr, tr)
     }
 

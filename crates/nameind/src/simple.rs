@@ -36,6 +36,7 @@ use obs::Tracer;
 use searchtree::{SearchTree, SearchTreeConfig};
 
 use crate::rounds::Rounds;
+use crate::{add_tree_share, remove_tree_share};
 
 /// The `(name, label)` pairs a search tree stores for the given (active)
 /// ball nodes. Keys are names, so the store order is irrelevant.
@@ -69,26 +70,15 @@ fn build_tree(
     )
 }
 
-/// Per-node search-tree storage shares (bits), recomputed wholesale after
-/// any tree change.
+/// Per-node search-tree storage shares (bits) of every tree.
 fn compute_search_bits(
     n: usize,
     widths: FieldWidths,
     trees: &[Vec<SearchTree<Label>>],
 ) -> Vec<u64> {
     let mut search_bits = vec![0u64; n];
-    for level in trees {
-        for tree in level {
-            for &v in tree.tree().nodes() {
-                search_bits[v as usize] +=
-                    tree.storage_bits(v, widths.node, widths.node, |_| widths.node);
-            }
-            for (v, _) in tree.relay_nodes() {
-                if !tree.contains(v) {
-                    search_bits[v as usize] += tree.relay_bits(v, widths.node);
-                }
-            }
-        }
+    for tree in trees.iter().flatten() {
+        add_tree_share(&mut search_bits, widths, tree);
     }
     search_bits
 }
@@ -236,11 +226,12 @@ impl SimpleNameIndependent {
     /// The underlying labeled scheme repairs first; then, per round, a
     /// host's search tree is fully rebuilt only when its ball was touched —
     /// some churned node sits within the round radius — or when the host
-    /// itself is new to the level. Untouched trees keep their skeleton and
-    /// only re-store the `(name, label)` pairs (labels are renumbered by
-    /// every hierarchy repair). Search-bit shares are recomputed wholesale.
-    /// The result is byte-identical to [`Self::new_over`] on the post-churn
-    /// active set.
+    /// itself is new to the level. Untouched trees keep their keys and
+    /// skeleton and are relabeled in place (labels are renumbered by every
+    /// hierarchy repair), which leaves their bit shares unchanged; the
+    /// shares of dropped and rebuilt trees are taken out and those of new
+    /// trees added. The result is byte-identical to [`Self::new_over`] on
+    /// the post-churn active set.
     ///
     /// # Panics
     ///
@@ -257,42 +248,43 @@ impl SimpleNameIndependent {
         let (net, rr) = self.underlying.repair(m, batch, budget);
 
         let changed = batch.changed();
+        let (naming, underlying) = (&self.naming, &self.underlying);
+        let label_of_key = |key: u64| underlying.label_of(naming.node_of(key as Name));
         let mut tr = TreeRepair::default();
-        #[allow(clippy::needless_range_loop)] // k also indexes self.trees
-        for k in 0..self.rounds.count() {
+        for (k, trees) in self.trees.iter_mut().enumerate() {
             let radius = self.rounds.radius(k);
-            let hosts = self.underlying.nets().level(self.rounds.host_level(k)).to_vec();
+            let hosts = underlying.nets().level(self.rounds.host_level(k));
             let mut old: Vec<Option<SearchTree<Label>>> =
-                std::mem::take(&mut self.trees[k]).into_iter().map(Some).collect();
-            self.trees[k] = hosts
+                std::mem::take(trees).into_iter().map(Some).collect();
+            *trees = hosts
                 .iter()
                 .map(|&y| {
-                    let kept = old_hosts[k]
-                        .binary_search(&y)
-                        .ok()
-                        .and_then(|j| old[j].take())
-                        .filter(|_| !changed.iter().any(|&c| m.dist(y, c) <= radius));
-                    match kept {
-                        Some(mut tree) => {
-                            // Ball ∩ active is unchanged: keep the skeleton,
-                            // re-store the renumbered labels.
-                            tree.refresh_pairs(tree_pairs(
-                                &self.naming,
-                                &self.underlying,
-                                tree.tree().nodes(),
-                            ));
+                    let prev = old_hosts[k].binary_search(&y).ok().and_then(|j| old[j].take());
+                    match prev {
+                        Some(mut tree) if !changed.iter().any(|&c| m.dist(y, c) <= radius) => {
+                            // Ball ∩ active is unchanged: keep the skeleton
+                            // and the keys, relabel the payloads.
+                            tree.relabel(label_of_key);
                             tr.refreshed += 1;
                             tree
                         }
-                        None => {
+                        prev => {
+                            if let Some(tree) = prev {
+                                remove_tree_share(&mut self.search_bits, self.widths, &tree);
+                            }
+                            let tree = build_tree(m, self.eps, naming, underlying, y, radius);
+                            add_tree_share(&mut self.search_bits, self.widths, &tree);
                             tr.rebuilt += 1;
-                            build_tree(m, self.eps, &self.naming, &self.underlying, y, radius)
+                            tree
                         }
                     }
                 })
                 .collect();
+            // Hosts that left the level take their trees' shares with them.
+            for tree in old.into_iter().flatten() {
+                remove_tree_share(&mut self.search_bits, self.widths, &tree);
+            }
         }
-        self.search_bits = compute_search_bits(m.n(), self.widths, &self.trees);
         (net, rr, tr)
     }
 

@@ -382,6 +382,42 @@ impl<D: Clone> SearchTree<D> {
         self.store(items);
     }
 
+    /// Replaces every stored payload with `f(key)` in place. Keys, their
+    /// Algorithm 1 distribution and the subtree ranges stay as they are,
+    /// so the result equals [`Self::refresh_pairs`] with the same keys
+    /// paired with the new payloads, without re-sorting or re-allocating.
+    /// Incremental repair uses it for trees whose ball is untouched but
+    /// whose destinations were relabeled.
+    pub fn relabel(&mut self, mut f: impl FnMut(u64) -> D) {
+        for node in &mut self.pairs {
+            for (key, data) in node.iter_mut() {
+                *data = f(*key);
+            }
+        }
+    }
+
+    /// Calls `f(v, bits)` once for every graph node this tree charges
+    /// table bits to: each member with its [`Self::storage_bits`], then
+    /// each non-member relay with its [`Self::relay_bits`]. Summing these
+    /// over a scheme's trees gives its per-node search-tree share; taking
+    /// one tree's calls back out removes exactly that tree's share.
+    pub fn for_each_share(
+        &self,
+        node_bits: u64,
+        key_bits: u64,
+        data_bits: impl Fn(&D) -> u64,
+        mut f: impl FnMut(NodeId, u64),
+    ) {
+        for (u, &v) in (0u32..).zip(self.tree.nodes()) {
+            f(v, self.storage_bits_at(u, node_bits, key_bits, &data_bits));
+        }
+        for &(v, entries) in &self.relay_entries {
+            if !self.tree.contains(v) {
+                f(v, entries * node_bits);
+            }
+        }
+    }
+
     /// Backtracking variant of [`Self::search`]: explores *every* subtree
     /// whose (possibly conservative) range contains the key, so it stays
     /// correct after [`Self::remove_pair`] mutations. On unmutated trees
@@ -538,11 +574,22 @@ impl<D: Clone> SearchTree<D> {
         data_bits: impl Fn(&D) -> u64,
     ) -> u64 {
         let u = self.tree.local(v).expect("member");
+        self.storage_bits_at(u, node_bits, key_bits, data_bits)
+    }
+
+    /// [`Self::storage_bits`] of the member at local index `u`.
+    fn storage_bits_at(
+        &self,
+        u: u32,
+        node_bits: u64,
+        key_bits: u64,
+        data_bits: impl Fn(&D) -> u64,
+    ) -> u64 {
         let deg = self.tree.children(u).len() as u64;
         let ranges = 2 * key_bits * (deg + 1);
         let links = node_bits * (deg + 1);
         let stored: u64 = self.pairs[u as usize].iter().map(|(_, d)| key_bits + data_bits(d)).sum();
-        ranges + links + stored + self.relay_bits(v, node_bits)
+        ranges + links + stored + self.relay_bits(self.tree.node(u), node_bits)
     }
 
     /// Lemma 4.3 relay bits stored at graph node `v` for this tree's
@@ -831,6 +878,39 @@ mod tests {
         // A miss also returns to the center.
         let w = st.search_all(123_456);
         assert_eq!(*w.nodes.last().unwrap(), 12);
+    }
+
+    #[test]
+    fn relabel_equals_refresh_with_new_payloads() {
+        let m = MetricSpace::new(&gen::exp_weight_path(32));
+        let ball = ball_of(&m, 0, m.diameter());
+        let pairs: Vec<(u64, u32)> = ball.iter().map(|&x| (x as u64 * 7 + 3, x)).collect();
+        let new_payload = |key: u64| (key as u32).wrapping_mul(31) ^ 0x5a5a;
+        for cap in [None, Some(2)] {
+            let config = SearchTreeConfig { eps_r: m.diameter() / 2, max_levels: cap };
+            let mut relabeled = SearchTree::new(&m, 0, &ball, config, pairs.clone());
+            assert_eq!(relabeled.has_tails(), cap.is_some(), "cap {cap:?}");
+            let mut refreshed = relabeled.clone();
+            relabeled.relabel(new_payload);
+            refreshed.refresh_pairs(pairs.iter().map(|&(k, _)| (k, new_payload(k))).collect());
+            assert_eq!(relabeled, refreshed, "cap {cap:?}");
+            for &(k, _) in &pairs {
+                assert_eq!(relabeled.search(k).result, Some(new_payload(k)), "cap {cap:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn shares_sum_storage_and_non_member_relays() {
+        let m = MetricSpace::new(&gen::path(16));
+        let st = make(&m, 3, 12, Eps::one_over(2), None);
+        let mut shares = [0u64; 16];
+        st.for_each_share(4, 8, |_| 4, |v, b| shares[v as usize] += b);
+        for v in 0..16u32 {
+            let expect =
+                if st.contains(v) { st.storage_bits(v, 4, 8, |_| 4) } else { st.relay_bits(v, 4) };
+            assert_eq!(shares[v as usize], expect, "node {v}");
+        }
     }
 
     #[test]
