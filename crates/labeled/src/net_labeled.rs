@@ -182,19 +182,67 @@ impl NetLabeled {
         &self.rings[u as usize][i]
     }
 
-    /// Minimal-level ring hit for `label` at node `u`.
-    fn min_hit(&self, u: NodeId, label: Label) -> Option<(usize, RingEntry)> {
-        for i in 0..self.num_levels {
-            if let Some(e) = ring_lookup(&self.rings[u as usize][i], label) {
-                return Some((i, *e));
-            }
-        }
-        None
+    /// Minimal-level ring hit for `label` at node `u`: the level and the
+    /// ring entry of `v(level)`.
+    pub(crate) fn ring_hit(&self, u: NodeId, label: Label) -> Option<(usize, &RingEntry)> {
+        (0..self.num_levels)
+            .find_map(|i| ring_lookup(&self.rings[u as usize][i], label).map(|e| (i, e)))
+    }
+}
+
+/// The table reads of the greedy ring walk. [`NetLabeled`] and
+/// [`crate::NetLabeledPlane`] implement it; [`ring_walk`] routes over
+/// both.
+pub trait RingTable {
+    /// The label of node `u`.
+    fn label(&self, u: NodeId) -> Label;
+
+    /// Minimal level `i` with a hit for `label` in `X_i(u)`, and the next
+    /// hop toward that hit.
+    fn min_hit(&self, u: NodeId, label: Label) -> Option<(u32, NodeId)>;
+}
+
+impl RingTable for NetLabeled {
+    fn label(&self, u: NodeId) -> Label {
+        self.nets.label(u)
     }
 
-    /// Crate-internal accessor for the distance oracle extension.
-    pub(crate) fn min_hit_public(&self, u: NodeId, label: Label) -> Option<(usize, RingEntry)> {
-        self.min_hit(u, label)
+    fn min_hit(&self, u: NodeId, label: Label) -> Option<(u32, NodeId)> {
+        self.ring_hit(u, label).map(|(i, e)| (i as u32, e.next))
+    }
+}
+
+/// The greedy ring walk (module docs) from `src` to the node labeled
+/// `target`.
+///
+/// # Errors
+///
+/// [`RouteError::LookupFailed`] on a ring miss (a broken hierarchy), or
+/// the recorder's hop errors.
+pub fn ring_walk<T: RingTable + ?Sized>(
+    t: &T,
+    m: &MetricSpace,
+    src: NodeId,
+    target: Label,
+) -> Result<Route, RouteError> {
+    let mut rec = RouteRecorder::new(m, src);
+    // Header: the destination label.
+    rec.note_header_bits(FieldWidths::new(m).node);
+    let mut seg_level: Option<u32> = None;
+    loop {
+        let u = rec.current();
+        if t.label(u) == target {
+            return Ok(rec.finish());
+        }
+        let (i, next) = t.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
+            at: u,
+            detail: "no ring hit at any level (broken hierarchy)".into(),
+        })?;
+        if seg_level != Some(i) {
+            rec.begin_segment("ring-walk", Some(i));
+            seg_level = Some(i);
+        }
+        rec.hop(next)?;
     }
 }
 
@@ -221,25 +269,7 @@ impl LabeledScheme for NetLabeled {
     }
 
     fn route(&self, m: &MetricSpace, src: NodeId, target: Label) -> Result<Route, RouteError> {
-        let mut rec = RouteRecorder::new(m, src);
-        // Header: the destination label.
-        rec.note_header_bits(self.widths.node);
-        let mut seg_level: Option<u32> = None;
-        loop {
-            let u = rec.current();
-            if self.nets.label(u) == target {
-                return Ok(rec.finish());
-            }
-            let (i, e) = self.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
-                at: u,
-                detail: "no ring hit at any level (broken hierarchy)".into(),
-            })?;
-            if seg_level != Some(i as u32) {
-                rec.begin_segment("ring-walk", Some(i as u32));
-                seg_level = Some(i as u32);
-            }
-            rec.hop(e.next)?;
-        }
+        ring_walk(self, m, src, target)
     }
 }
 

@@ -25,6 +25,7 @@ use doubling_metric::graph::NodeId;
 use netsim::scheme::{Label, LabeledScheme};
 
 use crate::net_labeled::NetLabeled;
+use crate::scale_free::ScaleFreeTable;
 
 /// The result of a local distance query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +54,7 @@ impl NetLabeled {
         if self.label_of(u) == target {
             return Some(DistanceEstimate { estimate: 0, level: 0, error_bound: 0 });
         }
-        let (i, e) = self.min_hit_public(u, target)?;
+        let (i, e) = self.ring_hit(u, target)?;
         let error_bound = if self.label_of(e.x) == target {
             0 // the hit is the destination itself
         } else {
@@ -87,13 +88,13 @@ impl crate::scale_free::ScaleFreeLabeled {
         if self.label_of(u) == target {
             return Some((0, 0));
         }
-        let (i, e) = self.min_hit_public(u, target)?;
-        if self.label_of(e.x) == target {
-            return Some((e.dist, e.dist));
+        let hit = ScaleFreeTable::min_hit(self, u, target)?;
+        if self.label_of(hit.x) == target {
+            return Some((hit.dist, hit.dist));
         }
-        let err = 2 * m.scale(i as usize);
-        let lo = e.dist.saturating_sub(err).max(m.min_dist());
-        let hi = e.dist + err;
+        let err = 2 * m.scale(hit.level as usize);
+        let lo = hit.dist.saturating_sub(err).max(m.min_dist());
+        let hi = hit.dist + err;
         Some((lo, hi))
     }
 }

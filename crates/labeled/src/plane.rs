@@ -2,10 +2,11 @@
 //!
 //! [`NetLabeledPlane`] and [`ScaleFreeLabeledPlane`] compile a built
 //! [`NetLabeled`] / [`ScaleFreeLabeled`] scheme into one contiguous
-//! [`BitArena`] and implement [`ForwardingPlane`] by replaying the
-//! reference route procedures against the packed state — the same ring
-//! lookups, the same stall tests, the same segment labels and header-bit
-//! notes, so every returned [`Route`] is `==` to the reference scheme's.
+//! [`BitArena`]. They implement the schemes' table-read traits
+//! ([`RingTable`], [`ScaleFreeTable`]) over the packed state, so their
+//! [`ForwardingPlane::route`] runs the reference procedure itself
+//! ([`ring_walk`], [`algorithm_5`]) and every [`Route`] is `==` to the
+//! reference scheme's.
 //!
 //! Arena layouts (all counts packed in-arena; see [`netsim::plane`] for
 //! the shared conventions):
@@ -40,18 +41,23 @@
 //! compiled without one fail named queries with a structured lookup error
 //! at the source.
 
-use doubling_metric::graph::{Dist, Graph, NodeId};
+use std::borrow::Cow;
+
+use doubling_metric::graph::NodeId;
 use doubling_metric::nets::NetHierarchy;
 use doubling_metric::space::MetricSpace;
+use doubling_metric::Eps;
 
 use netsim::bits::{bits_for_count, FieldWidths};
 use netsim::naming::Naming;
 use netsim::plane::{push_width_header, take_width_header, BitArena, BitCursor, ForwardingPlane};
-use netsim::route::{Route, RouteError, RouteRecorder};
+use netsim::route::{Route, RouteError};
 use netsim::scheme::{Label, Name};
-use searchtree::{PackedSearchTree, PackedTreeWidths, PayloadCodec, PortLabelCodec};
-use treeroute::PortLabel;
+use searchtree::{PackedSearchTree, PackedTree, PackedTreeWidths, PayloadCodec, PortLabelCodec};
+use treeroute::{PortLabel, PortTable};
 
+use crate::net_labeled::{ring_walk, RingTable};
+use crate::scale_free::{algorithm_5, RingHit, ScaleFreeTable};
 use crate::{NetLabeled, ScaleFreeLabeled};
 
 /// Width of the small structural header fields (level counts, size
@@ -99,6 +105,47 @@ fn take_name_directory(
     } else {
         None
     }
+}
+
+/// Resolves `name` through the packed name directory at `names_off`; a
+/// plane compiled without one fails the query at the source.
+fn resolve_name(
+    arena: &BitArena,
+    names_off: Option<u64>,
+    w: u64,
+    src: NodeId,
+    name: Name,
+) -> Result<Label, RouteError> {
+    let off = names_off.ok_or_else(|| RouteError::LookupFailed {
+        at: src,
+        detail: format!("name {name}: no name directory compiled into this plane"),
+    })?;
+    Ok(arena.read(off + name as u64 * w, w) as Label)
+}
+
+/// [`crate::rings::ring_lookup`] against a packed ring of `len` entries of
+/// `esz` bits from `base`, each starting `x lo hi next` at node width `w`:
+/// the offset of the entry whose range contains `label`, by the same
+/// partition-point binary search.
+fn ring_entry(
+    arena: &BitArena,
+    base: u64,
+    len: u64,
+    esz: u64,
+    w: u64,
+    label: Label,
+) -> Option<u64> {
+    let (mut lo_i, mut hi_i) = (0u64, len);
+    while lo_i < hi_i {
+        let mid = (lo_i + hi_i) / 2;
+        if arena.read(base + mid * esz + w, w) <= label as u64 {
+            lo_i = mid + 1;
+        } else {
+            hi_i = mid;
+        }
+    }
+    let e = base + lo_i.checked_sub(1)? * esz;
+    (label as u64 <= arena.read(e + 2 * w, w)).then_some(e)
 }
 
 /// The [`NetLabeled`] scheme compiled into a bit arena.
@@ -219,52 +266,20 @@ impl NetLabeledPlane {
     pub fn arena(&self) -> &BitArena {
         &self.arena
     }
+}
 
-    /// The packed label of node `u`.
-    pub fn label_at(&self, u: NodeId) -> Label {
+impl RingTable for NetLabeledPlane {
+    fn label(&self, u: NodeId) -> Label {
         self.arena.read(self.node_off[u as usize], self.widths.node) as Label
     }
 
-    /// Resolves `name` through the packed directory, if one was compiled.
-    pub fn resolve_name(&self, name: Name) -> Option<Label> {
-        self.names_off.map(|off| {
-            self.arena.read(off + name as u64 * self.widths.node, self.widths.node) as Label
-        })
-    }
-
-    /// `ring_lookup` against a packed ring at `off`: the entry whose range
-    /// contains `label`, as `(x, next)`. Same partition-point binary
-    /// search as the reference.
-    fn ring_hit(&self, off: u64, label: Label) -> Option<(NodeId, NodeId)> {
+    fn min_hit(&self, u: NodeId, label: Label) -> Option<(u32, NodeId)> {
         let w = self.widths.node;
-        let len = self.arena.read(off, self.cnt);
-        let base = off + self.cnt;
-        let esz = 4 * w;
-        let (mut lo_i, mut hi_i) = (0u64, len);
-        while lo_i < hi_i {
-            let mid = (lo_i + hi_i) / 2;
-            if self.arena.read(base + mid * esz + w, w) <= label as u64 {
-                lo_i = mid + 1;
-            } else {
-                hi_i = mid;
-            }
-        }
-        if lo_i == 0 {
-            return None;
-        }
-        let e = base + (lo_i - 1) * esz;
-        let e_lo = self.arena.read(e + w, w);
-        let e_hi = self.arena.read(e + 2 * w, w);
-        (e_lo <= label as u64 && label as u64 <= e_hi)
-            .then(|| (self.arena.read(e, w) as NodeId, self.arena.read(e + 3 * w, w) as NodeId))
-    }
-
-    /// Minimal-level ring hit for `label` at node `u` — the packed
-    /// `min_hit`.
-    fn min_hit(&self, u: NodeId, label: Label) -> Option<(usize, NodeId)> {
         (0..self.num_levels).find_map(|i| {
-            self.ring_hit(self.ring_off[u as usize * self.num_levels + i], label)
-                .map(|(_, next)| (i, next))
+            let off = self.ring_off[u as usize * self.num_levels + i];
+            let len = self.arena.read(off, self.cnt);
+            let e = ring_entry(&self.arena, off + self.cnt, len, 4 * w, w, label)?;
+            Some((i as u32, self.arena.read(e + 3 * w, w) as NodeId))
         })
     }
 }
@@ -287,31 +302,11 @@ impl ForwardingPlane for NetLabeledPlane {
     }
 
     fn route(&self, m: &MetricSpace, src: NodeId, target: Label) -> Result<Route, RouteError> {
-        let mut rec = RouteRecorder::new(m, src);
-        rec.note_header_bits(self.widths.node);
-        let mut seg_level: Option<u32> = None;
-        loop {
-            let u = rec.current();
-            if self.label_at(u) == target {
-                return Ok(rec.finish());
-            }
-            let (i, next) = self.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
-                at: u,
-                detail: "no ring hit at any level (broken hierarchy)".into(),
-            })?;
-            if seg_level != Some(i as u32) {
-                rec.begin_segment("ring-walk", Some(i as u32));
-                seg_level = Some(i as u32);
-            }
-            rec.hop(next)?;
-        }
+        ring_walk(self, m, src, target)
     }
 
     fn route_named(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError> {
-        let label = self.resolve_name(name).ok_or_else(|| RouteError::LookupFailed {
-            at: src,
-            detail: format!("name {name}: no name directory compiled into this plane"),
-        })?;
+        let label = resolve_name(&self.arena, self.names_off, self.widths.node, src, name)?;
         self.route(m, src, label)
     }
 }
@@ -329,9 +324,8 @@ struct PackedCell {
 
 /// The [`ScaleFreeLabeled`] scheme compiled into a bit arena.
 ///
-/// Replays Algorithm 5 exactly: the greedy ring walk over the packed
-/// `R(u)` rings, the stall test with the packed `ε`, and the packing
-/// phase over packed Voronoi tree routers and search trees.
+/// Routes by [`algorithm_5`] over the packed `R(u)` rings, `ε`, Voronoi
+/// rows, tree routers ([`PackedRouter`]) and search trees.
 #[derive(Debug, Clone)]
 pub struct ScaleFreeLabeledPlane {
     arena: BitArena,
@@ -340,8 +334,7 @@ pub struct ScaleFreeLabeledPlane {
     widths: FieldWidths,
     cnt: u64,
     log2_n: u32,
-    eps_num: u64,
-    eps_den: u64,
+    eps: Eps,
     names_off: Option<u64>,
     node_off: Vec<u64>,
     /// `cells[j][k]`, mirroring the scheme's cell table.
@@ -471,8 +464,7 @@ impl ScaleFreeLabeledPlane {
             widths,
             cnt,
             log2_n,
-            eps_num: s.eps().num(),
-            eps_den: s.eps().den(),
+            eps: s.eps(),
             names_off,
             node_off,
             cells,
@@ -553,8 +545,7 @@ impl ScaleFreeLabeledPlane {
             widths,
             cnt,
             log2_n,
-            eps_num,
-            eps_den,
+            eps: Eps::new(eps_num, eps_den).expect("packed eps is a valid fraction"),
             names_off,
             node_off,
             cells,
@@ -566,176 +557,110 @@ impl ScaleFreeLabeledPlane {
     pub fn arena(&self) -> &BitArena {
         &self.arena
     }
+}
 
-    /// The packed label of node `u`.
-    pub fn label_at(&self, u: NodeId) -> Label {
+impl ScaleFreeTable for ScaleFreeLabeledPlane {
+    type Router<'a> = PackedRouter<'a>;
+    type Search<'a> = PackedTree<'a, PortLabelCodec>;
+
+    fn eps(&self) -> Eps {
+        self.eps
+    }
+
+    fn label(&self, u: NodeId) -> Label {
         self.arena.read(self.node_off[u as usize], self.widths.node) as Label
     }
 
-    /// Resolves `name` through the packed directory, if one was compiled.
-    pub fn resolve_name(&self, name: Name) -> Option<Label> {
-        self.names_off.map(|off| {
-            self.arena.read(off + name as u64 * self.widths.node, self.widths.node) as Label
-        })
-    }
-
-    /// The packed `(k, local)` Voronoi row of node `u` at size exponent
-    /// `j`.
-    fn vj_row(&self, u: NodeId, j: u32) -> (u32, u32) {
-        let off = self.node_off[u as usize] + self.widths.node + j as u64 * 2 * self.cnt;
-        (self.arena.read(off, self.cnt) as u32, self.arena.read(off + self.cnt, self.cnt) as u32)
-    }
-
-    /// Minimal-level ring hit among the packed `R(u)` rings, as
-    /// `(level, x, dist, next)`.
-    fn min_hit(&self, u: NodeId, label: Label) -> Option<(u32, NodeId, Dist, NodeId)> {
-        let w = self.widths.node;
-        let esz = 4 * w + self.widths.dist;
+    fn min_hit(&self, u: NodeId, label: Label) -> Option<RingHit> {
+        let (w, dist) = (self.widths.node, self.widths.dist);
         let mut off = self.node_off[u as usize] + w + (self.log2_n as u64 + 1) * 2 * self.cnt;
         let nrings = self.arena.read(off, self.cnt);
         off += self.cnt;
         for _ in 0..nrings {
-            let i = self.arena.read(off, self.widths.level) as u32;
-            off += self.widths.level;
-            let len = self.arena.read(off, self.cnt);
-            off += self.cnt;
-            let base = off;
-            let (mut lo_i, mut hi_i) = (0u64, len);
-            while lo_i < hi_i {
-                let mid = (lo_i + hi_i) / 2;
-                if self.arena.read(base + mid * esz + w, w) <= label as u64 {
-                    lo_i = mid + 1;
-                } else {
-                    hi_i = mid;
-                }
+            let level = self.arena.read(off, self.widths.level) as u32;
+            let len = self.arena.read(off + self.widths.level, self.cnt);
+            off += self.widths.level + self.cnt;
+            if let Some(e) = ring_entry(&self.arena, off, len, 4 * w + dist, w, label) {
+                let x = self.arena.read(e, w) as NodeId;
+                let next = self.arena.read(e + 3 * w, w) as NodeId;
+                return Some(RingHit { level, x, dist: self.arena.read(e + 4 * w, dist), next });
             }
-            if lo_i > 0 {
-                let e = base + (lo_i - 1) * esz;
-                let e_lo = self.arena.read(e + w, w);
-                let e_hi = self.arena.read(e + 2 * w, w);
-                if e_lo <= label as u64 && label as u64 <= e_hi {
-                    return Some((
-                        i,
-                        self.arena.read(e, w) as NodeId,
-                        self.arena.read(e + 4 * w, self.widths.dist),
-                        self.arena.read(e + 3 * w, w) as NodeId,
-                    ));
-                }
-            }
-            off += len * esz;
+            off += len * (4 * w + dist);
         }
         None
     }
 
-    /// Algorithm 5 line 3's continuation test, with the packed `ε`.
-    fn far_from_target(&self, d: Dist, s_i: Dist) -> bool {
-        2 * (d + s_i) as u128 * self.eps_num as u128 >= s_i as u128 * self.eps_den as u128
+    fn voronoi_row(&self, u: NodeId, j: u32) -> (u32, u32) {
+        let off = self.node_off[u as usize] + self.widths.node + j as u64 * 2 * self.cnt;
+        (self.arena.read(off, self.cnt) as u32, self.arena.read(off + self.cnt, self.cnt) as u32)
     }
 
-    /// [`treeroute::PortTreeRouter::next_hop`] against the packed router
-    /// records of `cell`.
-    fn cell_next_hop(
-        &self,
-        g: &Graph,
-        cell: &PackedCell,
-        from: NodeId,
-        from_local: u32,
-        target: &PortLabel,
-    ) -> Option<NodeId> {
-        let w = self.widths.node;
-        let esz = Self::router_record_bits(w, self.cnt);
-        let rec = cell.router_base + from_local as u64 * esz;
-        let my = self.arena.read(rec + w, w) as u32;
-        if my == target.dfs {
-            return None;
-        }
-        let lo = self.arena.read(rec + 2 * w, w) as u32;
-        let hi = self.arena.read(rec + 3 * w, w) as u32;
-        if target.dfs < lo || target.dfs > hi {
-            return Some(self.arena.read(rec + 4 * w, w) as NodeId);
-        }
-        if self.arena.read(rec + 5 * w, 1) == 1 {
-            let hrec = cell.router_base + self.arena.read(rec + 5 * w + 1, self.cnt) * esz;
-            let hlo = self.arena.read(hrec + 2 * w, w) as u32;
-            let hhi = self.arena.read(hrec + 3 * w, w) as u32;
-            if hlo <= target.dfs && target.dfs <= hhi {
-                return Some(self.arena.read(hrec, w) as NodeId);
-            }
-        }
-        for &(x_dfs, port) in &target.lights {
-            if x_dfs == my {
-                return Some(g.neighbors(from)[port as usize].node);
-            }
-        }
-        unreachable!("light trail must name the branching port")
-    }
-
-    /// [`treeroute::PortTreeRouter::route`] against the packed records:
-    /// each hop's local index comes from its packed Voronoi row.
-    fn cell_route(
-        &self,
-        g: &Graph,
-        j: u32,
-        cell: &PackedCell,
-        from: NodeId,
-        target: &PortLabel,
-    ) -> Vec<NodeId> {
-        let mut path = vec![from];
-        let mut cur = from;
-        let mut cur_local = self.vj_row(cur, j).1;
-        while let Some(next) = self.cell_next_hop(g, cell, cur, cur_local, target) {
-            path.push(next);
-            cur = next;
-            cur_local = self.vj_row(cur, j).1;
-        }
-        path
-    }
-
-    /// Phase 2 of Algorithm 5 against the packed cells.
-    fn packing_phase(
-        &self,
-        m: &MetricSpace,
-        rec: &mut RouteRecorder<'_>,
-        target: Label,
-        i_t: u32,
-    ) -> Result<(), RouteError> {
-        let u_t = rec.current();
-        let s_it = m.scale(i_t as usize);
-        let j = (0..=self.log2_n)
-            .rev()
-            .find(|&j| m.r_small(u_t, j) <= s_it)
-            .expect("r_u(0) = 0 always qualifies");
-        let k = self.vj_row(u_t, j).0;
+    fn root_label(&self, j: u32, k: u32) -> (NodeId, Cow<'_, PortLabel>) {
         let cell = &self.cells[j as usize][k as usize];
-        let c = cell.center;
         let codec = PortLabelCodec { node: self.widths.node, port: cell.port_bits, cnt: self.cnt };
+        let label = codec.decode(&mut BitCursor::new(&self.arena, cell.root_label_off));
+        (cell.center, Cow::Owned(label))
+    }
 
-        rec.begin_segment("to-center", Some(j));
-        let root_label = codec.decode(&mut BitCursor::new(&self.arena, cell.root_label_off));
-        rec.note_header_bits(
-            root_label.bits(self.widths.node, cell.port_bits) + self.widths.size_exp,
-        );
-        for x in self.cell_route(m.graph(), j, cell, u_t, &root_label).into_iter().skip(1) {
-            rec.hop(x)?;
-        }
+    fn cell(&self, j: u32, k: u32) -> (PackedRouter<'_>, PackedTree<'_, PortLabelCodec>) {
+        let cell = &self.cells[j as usize][k as usize];
+        (PackedRouter { plane: self, j, cell }, cell.search.at(&self.arena))
+    }
+}
 
-        rec.begin_segment("tree-search", Some(j));
-        rec.note_header_bits(self.widths.node + self.widths.size_exp);
-        let walk = cell.search.search(&self.arena, target as u64);
-        for &x in &walk.nodes[1..] {
-            rec.walk_shortest(x)?;
-        }
-        let local = walk.result.ok_or_else(|| RouteError::LookupFailed {
-            at: rec.current(),
-            detail: format!("label {target} not in search tree of ball j={j} (Lemma 4.5)"),
-        })?;
+/// One packed cell's router records, read against the plane's arena. A
+/// node's local index comes from its packed Voronoi row.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedRouter<'a> {
+    plane: &'a ScaleFreeLabeledPlane,
+    j: u32,
+    cell: &'a PackedCell,
+}
 
-        rec.begin_segment("to-target", Some(j));
-        rec.note_header_bits(local.bits(self.widths.node, cell.port_bits));
-        for x in self.cell_route(m.graph(), j, cell, c, &local).into_iter().skip(1) {
-            rec.hop(x)?;
-        }
-        Ok(())
+impl PackedRouter<'_> {
+    /// Bit offset of local `u`'s fixed-size router record.
+    fn record(self, u: u32) -> u64 {
+        let p = self.plane;
+        self.cell.router_base
+            + u as u64 * ScaleFreeLabeledPlane::router_record_bits(p.widths.node, p.cnt)
+    }
+
+    fn read_node(self, off: u64) -> u64 {
+        self.plane.arena.read(off, self.plane.widths.node)
+    }
+}
+
+// Record fields at multiples of the node width: `node, dfs, lo, hi,
+// parent`, then `heavy?:1 heavy_local:cnt`.
+impl PortTable for PackedRouter<'_> {
+    fn local(self, v: NodeId) -> u32 {
+        self.plane.voronoi_row(v, self.j).1
+    }
+
+    fn dfs_of(self, u: u32) -> u32 {
+        self.read_node(self.record(u) + self.plane.widths.node) as u32
+    }
+
+    fn interval_of(self, u: u32) -> (u32, u32) {
+        let (rec, w) = (self.record(u), self.plane.widths.node);
+        (self.read_node(rec + 2 * w) as u32, self.read_node(rec + 3 * w) as u32)
+    }
+
+    fn parent_node(self, u: u32) -> NodeId {
+        self.read_node(self.record(u) + 4 * self.plane.widths.node) as NodeId
+    }
+
+    fn heavy_child(self, u: u32) -> Option<(NodeId, (u32, u32))> {
+        let (rec, w) = (self.record(u), self.plane.widths.node);
+        let arena = &self.plane.arena;
+        (arena.read(rec + 5 * w, 1) == 1).then(|| {
+            let h = arena.read(rec + 5 * w + 1, self.plane.cnt) as u32;
+            (self.read_node(self.record(h)) as NodeId, self.interval_of(h))
+        })
+    }
+
+    fn port_bits(self) -> u64 {
+        self.cell.port_bits
     }
 }
 
@@ -757,55 +682,11 @@ impl ForwardingPlane for ScaleFreeLabeledPlane {
     }
 
     fn route(&self, m: &MetricSpace, src: NodeId, target: Label) -> Result<Route, RouteError> {
-        let mut rec = RouteRecorder::new(m, src);
-        rec.note_header_bits(self.widths.node + self.widths.level);
-        let mut i_prev = u32::MAX;
-        let mut seg_level: Option<u32> = None;
-        loop {
-            let u = rec.current();
-            if self.label_at(u) == target {
-                return Ok(rec.finish());
-            }
-            let (i, x, dist, next) =
-                self.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
-                    at: u,
-                    detail: "no ring hit on R(u) (requires eps <= 1/4)".into(),
-                })?;
-            if self.label_at(x) == target {
-                if seg_level != Some(i) {
-                    rec.begin_segment("ring-walk", Some(i));
-                    seg_level = Some(i);
-                }
-                rec.hop(next)?;
-                i_prev = i;
-                continue;
-            }
-            let s_i = m.scale(i as usize);
-            if i <= i_prev && self.far_from_target(dist, s_i) {
-                if seg_level != Some(i) {
-                    rec.begin_segment("ring-walk", Some(i));
-                    seg_level = Some(i);
-                }
-                rec.hop(next)?;
-                i_prev = i;
-                continue;
-            }
-            self.packing_phase(m, &mut rec, target, i)?;
-            let arrived = rec.current();
-            if self.label_at(arrived) != target {
-                return Err(RouteError::Internal(format!(
-                    "packing phase delivered to {arrived}, not the target"
-                )));
-            }
-            return Ok(rec.finish());
-        }
+        algorithm_5(self, m, src, target)
     }
 
     fn route_named(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError> {
-        let label = self.resolve_name(name).ok_or_else(|| RouteError::LookupFailed {
-            at: src,
-            detail: format!("name {name}: no name directory compiled into this plane"),
-        })?;
+        let label = resolve_name(&self.arena, self.names_off, self.widths.node, src, name)?;
         self.route(m, src, label)
     }
 }

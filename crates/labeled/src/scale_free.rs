@@ -24,6 +24,8 @@
 //! degree-independent tree-router tables, and its share of the search
 //! trees' `(key, data)` pairs — `(1/ε)^{O(α)}·log³ n` bits (Lemma 4.4).
 
+use std::borrow::Cow;
+
 use doubling_metric::graph::{Dist, NodeId};
 use doubling_metric::nets::{ChurnBatch, NetHierarchy, NetRepair, NetRepairBudget};
 use doubling_metric::packing::Packings;
@@ -34,8 +36,8 @@ use netsim::bits::{BitTally, FieldWidths, TableComponent};
 use netsim::route::{Route, RouteError, RouteRecorder};
 use netsim::scheme::{Certifiable, Label, LabeledScheme};
 use obs::Tracer;
-use searchtree::{SearchTree, SearchTreeConfig};
-use treeroute::{PortLabel, PortTreeRouter, Tree};
+use searchtree::{SearchTable, SearchTree, SearchTreeConfig};
+use treeroute::{PortLabel, PortTable, PortTreeRouter, Tree};
 
 use crate::error::SchemeError;
 use crate::rings::{
@@ -72,23 +74,178 @@ struct Cell {
 /// Per-node search-tree storage shares across all cells.
 fn compute_search_bits(n: usize, widths: &FieldWidths, cells: &[Vec<Cell>]) -> Vec<u64> {
     let mut search_bits = vec![0u64; n];
-    for level_cells in cells {
-        for cell in level_cells {
-            let (router, search) = (&cell.router, &cell.search);
-            for &v in search.tree().nodes() {
-                search_bits[v as usize] +=
-                    search.storage_bits(v, widths.node, widths.node, |lbl| {
-                        lbl.bits(widths.node, router.port_bits())
-                    });
-            }
-            for (v, _) in search.relay_nodes() {
-                if !search.contains(v) {
-                    search_bits[v as usize] += search.relay_bits(v, widths.node);
-                }
-            }
-        }
+    let w = widths.node;
+    for cell in cells.iter().flatten() {
+        let port = cell.router.port_bits();
+        cell.search.for_each_share(
+            w,
+            w,
+            |lbl| lbl.bits(w, port),
+            |v, bits| search_bits[v as usize] += bits,
+        );
     }
     search_bits
+}
+
+/// A minimal-level ring hit on `R(u)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingHit {
+    /// The minimal hit level `i`.
+    pub level: u32,
+    /// The hit net point `x = v(i)`.
+    pub x: NodeId,
+    /// The stored distance `d(u, x)`.
+    pub dist: Dist,
+    /// The next hop from `u` toward `x`.
+    pub next: NodeId,
+}
+
+/// The table reads of Algorithm 5: labels, ring hits, Voronoi rows, and
+/// each packed ball's cell. [`ScaleFreeLabeled`] and
+/// [`crate::ScaleFreeLabeledPlane`] implement it; [`algorithm_5`] routes
+/// over both.
+pub trait ScaleFreeTable {
+    /// A cell's Voronoi tree router.
+    type Router<'a>: PortTable
+    where
+        Self: 'a;
+    /// A cell's local-label search tree.
+    type Search<'a>: SearchTable<Item = PortLabel>
+    where
+        Self: 'a;
+
+    /// The `ε` of the continuation test.
+    fn eps(&self) -> Eps;
+
+    /// The label of node `u`.
+    fn label(&self, u: NodeId) -> Label;
+
+    /// Minimal-level ring hit for `label` on `R(u)`.
+    fn min_hit(&self, u: NodeId, label: Label) -> Option<RingHit>;
+
+    /// `u`'s ball index `k` in `ℬ_j` and its local index in that cell.
+    fn voronoi_row(&self, u: NodeId, j: u32) -> (u32, u32);
+
+    /// Center `c` of ball `k` in `ℬ_j` and its local label `l(c; c, j)`.
+    fn root_label(&self, j: u32, k: u32) -> (NodeId, Cow<'_, PortLabel>);
+
+    /// Ball `k`'s cell in `ℬ_j`: the port router of its tree `T_c(j)` and
+    /// its search tree `T'(c, r_c(j))`.
+    fn cell(&self, j: u32, k: u32) -> (Self::Router<'_>, Self::Search<'_>);
+}
+
+/// Algorithm 5 from `src` to the node labeled `target`: the greedy ring
+/// walk, then the packing phase once it stalls (module docs).
+///
+/// # Errors
+///
+/// [`RouteError::LookupFailed`] on a ring or search-tree miss (broken
+/// invariants), [`RouteError::Internal`] if the packing phase ends
+/// elsewhere, or the recorder's hop errors.
+pub fn algorithm_5<T: ScaleFreeTable + ?Sized>(
+    t: &T,
+    m: &MetricSpace,
+    src: NodeId,
+    target: Label,
+) -> Result<Route, RouteError> {
+    let mut rec = RouteRecorder::new(m, src);
+    // Phase-1 header: destination label + previous level.
+    let w = FieldWidths::new(m);
+    rec.note_header_bits(w.node + w.level);
+    let mut i_prev = u32::MAX;
+    let mut seg_level: Option<u32> = None;
+    loop {
+        let u = rec.current();
+        if t.label(u) == target {
+            return Ok(rec.finish());
+        }
+        let hit = t.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
+            at: u,
+            detail: "no ring hit on R(u) (requires eps <= 1/4)".into(),
+        })?;
+        let i = hit.level;
+        // When the hit is the destination itself (x = v, which happens
+        // whenever v ∈ Y_i — in particular at every level-0 hit), walk
+        // straight to it: the per-hop recomputation keeps the target
+        // fixed, so this is the exact shortest path. Claim 4.6's
+        // analysis only covers stalls with x_t ≠ v (it needs i_t ≥ 1
+        // and x' = v(i_t − 1) distinct from the walk target).
+        if t.label(hit.x) == target
+            || (i <= i_prev && far_from_target(t.eps(), hit.dist, m.scale(i as usize)))
+        {
+            if seg_level != Some(i) {
+                rec.begin_segment("ring-walk", Some(i));
+                seg_level = Some(i);
+            }
+            rec.hop(hit.next)?;
+            i_prev = i;
+            continue;
+        }
+        // Stalled: hand off to the ball-packing machinery.
+        packing_phase(t, m, &mut rec, target, i)?;
+        let arrived = rec.current();
+        if t.label(arrived) != target {
+            return Err(RouteError::Internal(format!(
+                "packing phase delivered to {arrived}, not the target"
+            )));
+        }
+        return Ok(rec.finish());
+    }
+}
+
+/// Algorithm 5 line 3's continuation test: `d(u_k, x_k) ≥
+/// 2^{i_k−1}/ε − 2^{i_k}`, evaluated exactly as `2·ε·(d + s_i) ≥ s_i`
+/// (using `s_{i−1} = s_i/2`).
+fn far_from_target(eps: Eps, d: Dist, s_i: Dist) -> bool {
+    2 * (d + s_i) as u128 * eps.num() as u128 >= s_i as u128 * eps.den() as u128
+}
+
+/// Phase 2 of Algorithm 5 (lines 7–10) from the stalled node.
+fn packing_phase<T: ScaleFreeTable + ?Sized>(
+    t: &T,
+    m: &MetricSpace,
+    rec: &mut RouteRecorder<'_>,
+    target: Label,
+    i_t: u32,
+) -> Result<(), RouteError> {
+    let u_t = rec.current();
+    let s_it = m.scale(i_t as usize);
+    // j: the largest index with r_{u_t}(j) ≤ 2^{i_t}.
+    let j = (0..=m.log2_n())
+        .rev()
+        .find(|&j| m.r_small(u_t, j) <= s_it)
+        .expect("r_u(0) = 0 always qualifies");
+    let k = t.voronoi_row(u_t, j).0;
+    let (router, search) = t.cell(j, k);
+    let w = FieldWidths::new(m);
+
+    // Route to c on T_c(j) using the stored local label l(c;c,j).
+    rec.begin_segment("to-center", Some(j));
+    let (c, root_label) = t.root_label(j, k);
+    rec.note_header_bits(root_label.bits(w.node, router.port_bits()) + w.size_exp);
+    for x in router.route(m.graph(), u_t, &root_label).into_iter().skip(1) {
+        rec.hop(x)?;
+    }
+
+    // Search T'(c, r_c(j)) for the local label of the target.
+    rec.begin_segment("tree-search", Some(j));
+    rec.note_header_bits(w.node + w.size_exp);
+    let walk = search.search(target as u64);
+    for &x in &walk.nodes[1..] {
+        rec.walk_shortest(x)?;
+    }
+    let local = walk.result.ok_or_else(|| RouteError::LookupFailed {
+        at: rec.current(),
+        detail: format!("label {target} not in search tree of ball j={j} (Lemma 4.5)"),
+    })?;
+
+    // Route to the target on T_c(j).
+    rec.begin_segment("to-target", Some(j));
+    rec.note_header_bits(local.bits(w.node, router.port_bits()));
+    for x in router.route(m.graph(), c, &local).into_iter().skip(1) {
+        rec.hop(x)?;
+    }
+    Ok(())
 }
 
 /// The scale-free labeled scheme of Theorem 1.2.
@@ -388,94 +545,48 @@ impl ScaleFreeLabeled {
         &self.rings[u as usize]
     }
 
-    /// Ball `k`'s cell at size exponent `j`: its Voronoi tree router and
-    /// local-label search tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` or `k` is out of range.
-    pub fn cell(&self, j: u32, k: u32) -> (&PortTreeRouter, &SearchTree<PortLabel>) {
-        let cell = &self.cells[j as usize][k as usize];
-        (&cell.router, &cell.search)
-    }
-
     /// `⌈log₂ n⌉` — the number of ball-packing size exponents minus one.
     pub fn log2_n(&self) -> u32 {
         self.log2_n
     }
+}
 
-    /// Minimal-level ring hit among `R(u)`.
-    fn min_hit(&self, u: NodeId, label: Label) -> Option<(u32, RingEntry)> {
-        for (i, ring) in &self.rings[u as usize] {
-            if let Some(e) = ring_lookup(ring, label) {
-                return Some((*i, *e));
-            }
-        }
-        None
+impl ScaleFreeTable for ScaleFreeLabeled {
+    type Router<'a> = &'a PortTreeRouter;
+    type Search<'a> = &'a SearchTree<PortLabel>;
+
+    fn eps(&self) -> Eps {
+        self.eps
     }
 
-    /// Minimal-level ring hit among `R(u)`, exposed for the
-    /// distance-bounds extension in [`crate::oracle`].
-    pub(crate) fn min_hit_public(&self, u: NodeId, label: Label) -> Option<(u32, RingEntry)> {
-        self.min_hit(u, label)
+    fn label(&self, u: NodeId) -> Label {
+        self.nets.label(u)
     }
 
-    /// Algorithm 5 line 3's continuation test: `d(u_k, x_k) ≥
-    /// 2^{i_k−1}/ε − 2^{i_k}`, evaluated exactly as
-    /// `2·ε·(d + s_i) ≥ s_i` (using `s_{i−1} = s_i/2`).
-    fn far_from_target(&self, d: Dist, s_i: Dist) -> bool {
-        2 * (d + s_i) as u128 * self.eps.num() as u128 >= s_i as u128 * self.eps.den() as u128
+    fn min_hit(&self, u: NodeId, label: Label) -> Option<RingHit> {
+        self.rings[u as usize].iter().find_map(|(i, ring)| {
+            ring_lookup(ring, label).map(|e| RingHit {
+                level: *i,
+                x: e.x,
+                dist: e.dist,
+                next: e.next,
+            })
+        })
     }
 
-    /// Phase 2 of Algorithm 5 (lines 7–10) from the stalled node.
-    fn packing_phase(
-        &self,
-        m: &MetricSpace,
-        rec: &mut RouteRecorder<'_>,
-        target: Label,
-        i_t: u32,
-    ) -> Result<(), RouteError> {
-        let u_t = rec.current();
-        let s_it = m.scale(i_t as usize);
-        // j: the largest index with r_{u_t}(j) ≤ 2^{i_t}.
-        let j = (0..=self.log2_n)
-            .rev()
-            .find(|&j| m.r_small(u_t, j) <= s_it)
-            .expect("r_u(0) = 0 always qualifies");
-        let packing = self.packings.at(j);
-        let k = packing.voronoi_index(u_t);
+    fn voronoi_row(&self, u: NodeId, j: u32) -> (u32, u32) {
+        let k = self.packings.at(j).voronoi_index(u);
+        (k, self.cells[j as usize][k as usize].router.local(u))
+    }
+
+    fn root_label(&self, j: u32, k: u32) -> (NodeId, Cow<'_, PortLabel>) {
+        let c = self.packings.at(j).balls()[k as usize].center;
+        (c, Cow::Borrowed(self.cells[j as usize][k as usize].router.label_of(c)))
+    }
+
+    fn cell(&self, j: u32, k: u32) -> (&PortTreeRouter, &SearchTree<PortLabel>) {
         let cell = &self.cells[j as usize][k as usize];
-        let c = packing.balls()[k as usize].center;
-
-        // Route to c on T_c(j) using the stored local label l(c;c,j).
-        rec.begin_segment("to-center", Some(j));
-        let root_label = cell.router.label_of(c);
-        rec.note_header_bits(
-            root_label.bits(self.widths.node, cell.router.port_bits()) + self.widths.size_exp,
-        );
-        for x in cell.router.route(m.graph(), u_t, root_label).into_iter().skip(1) {
-            rec.hop(x)?;
-        }
-
-        // Search T'(c, r_c(j)) for the local label of the target.
-        rec.begin_segment("tree-search", Some(j));
-        rec.note_header_bits(self.widths.node + self.widths.size_exp);
-        let walk = cell.search.search(target as u64);
-        for &x in &walk.nodes[1..] {
-            rec.walk_shortest(x)?;
-        }
-        let local = walk.result.ok_or_else(|| RouteError::LookupFailed {
-            at: rec.current(),
-            detail: format!("label {target} not in search tree of ball j={j} (Lemma 4.5)"),
-        })?;
-
-        // Route to the target on T_c(j).
-        rec.begin_segment("to-target", Some(j));
-        rec.note_header_bits(local.bits(self.widths.node, cell.router.port_bits()));
-        for x in cell.router.route(m.graph(), c, &local).into_iter().skip(1) {
-            rec.hop(x)?;
-        }
-        Ok(())
+        (&cell.router, &cell.search)
     }
 }
 
@@ -516,55 +627,7 @@ impl LabeledScheme for ScaleFreeLabeled {
     }
 
     fn route(&self, m: &MetricSpace, src: NodeId, target: Label) -> Result<Route, RouteError> {
-        let mut rec = RouteRecorder::new(m, src);
-        // Phase-1 header: destination label + previous level.
-        rec.note_header_bits(self.widths.node + self.widths.level);
-        let mut i_prev = u32::MAX;
-        let mut seg_level: Option<u32> = None;
-        loop {
-            let u = rec.current();
-            if self.nets.label(u) == target {
-                return Ok(rec.finish());
-            }
-            let (i, e) = self.min_hit(u, target).ok_or_else(|| RouteError::LookupFailed {
-                at: u,
-                detail: "no ring hit on R(u) (requires eps <= 1/4)".into(),
-            })?;
-            // When the hit is the destination itself (x = v, which happens
-            // whenever v ∈ Y_i — in particular at every level-0 hit), walk
-            // straight to it: the per-hop recomputation keeps the target
-            // fixed, so this is the exact shortest path. Claim 4.6's
-            // analysis only covers stalls with x_t ≠ v (it needs i_t ≥ 1
-            // and x' = v(i_t − 1) distinct from the walk target).
-            if self.nets.label(e.x) == target {
-                if seg_level != Some(i) {
-                    rec.begin_segment("ring-walk", Some(i));
-                    seg_level = Some(i);
-                }
-                rec.hop(e.next)?;
-                i_prev = i;
-                continue;
-            }
-            let s_i = m.scale(i as usize);
-            if i <= i_prev && self.far_from_target(e.dist, s_i) {
-                if seg_level != Some(i) {
-                    rec.begin_segment("ring-walk", Some(i));
-                    seg_level = Some(i);
-                }
-                rec.hop(e.next)?;
-                i_prev = i;
-                continue;
-            }
-            // Stalled: hand off to the ball-packing machinery.
-            self.packing_phase(m, &mut rec, target, i)?;
-            let arrived = rec.current();
-            if self.nets.label(arrived) != target {
-                return Err(RouteError::Internal(format!(
-                    "packing phase delivered to {arrived}, not the target"
-                )));
-            }
-            return Ok(rec.finish());
-        }
+        algorithm_5(self, m, src, target)
     }
 }
 

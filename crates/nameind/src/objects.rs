@@ -24,6 +24,7 @@ use netsim::scheme::Label;
 use searchtree::{SearchTree, SearchTreeConfig};
 
 use crate::simple::SimpleNameIndependent;
+use crate::{go, NiTable};
 
 /// An application-level object key (independent of node names).
 pub type ObjectKey = u32;
@@ -71,7 +72,7 @@ impl<'s> ObjectDirectory<'s> {
         let underlying = scheme.underlying();
         let nets = underlying.nets();
         let rounds = scheme.rounds();
-        let eps = underlying_eps(scheme);
+        let eps = scheme.eps();
 
         let mut placements = Vec::new();
         for (key, hosts) in replicas {
@@ -200,32 +201,23 @@ impl<'s> ObjectDirectory<'s> {
         src: NodeId,
         key: ObjectKey,
     ) -> Result<(Route, NodeId), RouteError> {
-        let underlying = self.scheme.underlying();
-        let nets = underlying.nets();
-        let rounds = self.scheme.rounds();
+        let scheme = self.scheme;
         let mut rec = RouteRecorder::new(m, src);
         rec.note_header_bits(32 + 8); // object key + round counter
 
-        for k in 0..rounds.count() {
-            let y = nets.zoom(src, rounds.host_level(k));
+        for k in 0..scheme.round_count() {
+            let (y, j) = scheme.zoom_row(src, k);
             rec.begin_segment("zoom", Some(k as u32));
-            go(underlying, m, &mut rec, netsim::scheme::LabeledScheme::label_of(underlying, y))?;
+            go(scheme, m, &mut rec, scheme.label(y))?;
 
             rec.begin_segment("search", Some(k as u32));
-            let level = nets.level(rounds.host_level(k));
-            let j = level.binary_search(&y).expect("zoom lands in net level");
             let walk = self.trees[k][j].search_all(key as u64);
             for &x in &walk.nodes[1..] {
-                go(
-                    underlying,
-                    m,
-                    &mut rec,
-                    netsim::scheme::LabeledScheme::label_of(underlying, x),
-                )?;
+                go(scheme, m, &mut rec, scheme.label(x))?;
             }
             if let Some(label) = walk.result {
                 rec.begin_segment("final", Some(k as u32));
-                go(underlying, m, &mut rec, label)?;
+                go(scheme, m, &mut rec, label)?;
                 let replica = rec.current();
                 return Ok((rec.finish(), replica));
             }
@@ -235,24 +227,6 @@ impl<'s> ObjectDirectory<'s> {
             detail: format!("object key {key} is not registered anywhere"),
         })
     }
-}
-
-fn underlying_eps(scheme: &SimpleNameIndependent) -> doubling_metric::Eps {
-    scheme.eps()
-}
-
-fn go(
-    underlying: &labeled_routing::NetLabeled,
-    m: &MetricSpace,
-    rec: &mut RouteRecorder<'_>,
-    target: Label,
-) -> Result<(), RouteError> {
-    use netsim::scheme::LabeledScheme;
-    if underlying.label_of(rec.current()) == target {
-        return Ok(());
-    }
-    let sub = underlying.route(m, rec.current(), target)?;
-    rec.absorb(&sub)
 }
 
 #[cfg(test)]

@@ -2,11 +2,10 @@
 //!
 //! Each NI plane owns the packed name-resolution state (per-node names,
 //! zoom rows, packed search trees / facilities) and *wraps* the packed
-//! plane of its underlying labeled scheme, replaying Algorithm 2 /
-//! Algorithm 4 exactly: the same round order, segment labels, header-bit
-//! notes, and error strings as the reference, with every `go()` sub-route
-//! served by the underlying packed plane (itself hop-identical to the
-//! reference labeled scheme).
+//! plane of its underlying labeled scheme. Both implement [`NiTable`]
+//! over those bits, so [`ForwardingPlane::route_named`] runs the same
+//! [`route_by_name`] as the reference schemes, with every underlying
+//! sub-route served by the underlying packed plane.
 //!
 //! Own-arena layouts:
 //!
@@ -27,22 +26,32 @@
 use doubling_metric::graph::NodeId;
 use doubling_metric::space::MetricSpace;
 
+use labeled_routing::net_labeled::RingTable;
+use labeled_routing::scale_free::ScaleFreeTable;
 use labeled_routing::{NetLabeledPlane, ScaleFreeLabeledPlane};
 use netsim::bits::{bits_for_count, FieldWidths};
 use netsim::plane::{push_width_header, take_width_header, BitArena, BitCursor, ForwardingPlane};
-use netsim::route::{Route, RouteError, RouteRecorder};
+use netsim::route::{Route, RouteError};
 use netsim::scheme::{Label, Name};
-use searchtree::{PackedSearchTree, PackedTreeWidths, U32Codec};
+use searchtree::{PackedSearchTree, PackedTree, PackedTreeWidths, U32Codec};
 
 use crate::scale_free::FacilityView;
-use crate::{ScaleFreeNameIndependent, SimpleNameIndependent};
+use crate::{route_by_name, Facility, NiTable, ScaleFreeNameIndependent, SimpleNameIndependent};
 
 /// Width of small structural counters (round count, size exponents).
 const SMALL_FIELD_BITS: u64 = 7;
 
-/// Per-round zoom row size in bits.
-fn zoom_row_bits(widths: &FieldWidths, cnt: u64) -> u64 {
-    widths.node + cnt
+/// The packed `(y, j)` zoom row for round `k` of the node whose section
+/// starts at `node_off` (after its name, one `y:node j:cnt` row per round).
+fn zoom_row(
+    arena: &BitArena,
+    node_off: u64,
+    widths: &FieldWidths,
+    cnt: u64,
+    k: usize,
+) -> (NodeId, usize) {
+    let off = node_off + widths.node + k as u64 * (widths.node + cnt);
+    (arena.read(off, widths.node) as NodeId, arena.read(off + widths.node, cnt) as usize)
 }
 
 /// The packed-tree widths shared by every NI search tree (name keys and
@@ -110,9 +119,7 @@ impl SimpleNiPlane {
                     arena.push(0, cnt);
                     continue;
                 }
-                let host = s.rounds().host_level(k);
-                let y = nets.zoom(u, host);
-                let j = nets.level(host).binary_search(&y).expect("zoom lands in Y_i");
+                let (y, j) = s.rounds().zoom_row(nets, u, k);
                 arena.push(y as u64, widths.node);
                 arena.push(j as u64, cnt);
             }
@@ -177,35 +184,33 @@ impl SimpleNiPlane {
     pub fn underlying(&self) -> &NetLabeledPlane {
         &self.underlying
     }
+}
 
-    /// The packed name of node `u`.
-    pub fn name_at(&self, u: NodeId) -> Name {
+impl NiTable for SimpleNiPlane {
+    type Tree<'a> = PackedTree<'a, U32Codec>;
+
+    fn name(&self, u: NodeId) -> Name {
         self.arena.read(self.node_off[u as usize], self.widths.node) as Name
     }
 
-    /// The packed `(y, j)` zoom row of node `u` for round `k`.
-    fn zoom_row(&self, u: NodeId, k: usize) -> (NodeId, usize) {
-        let off = self.node_off[u as usize]
-            + self.widths.node
-            + k as u64 * zoom_row_bits(&self.widths, self.cnt);
-        (
-            self.arena.read(off, self.widths.node) as NodeId,
-            self.arena.read(off + self.widths.node, self.cnt) as usize,
-        )
+    fn round_count(&self) -> usize {
+        self.nrounds
     }
 
-    /// `go()` via the underlying packed plane.
-    fn go(
-        &self,
-        m: &MetricSpace,
-        rec: &mut RouteRecorder<'_>,
-        target: Label,
-    ) -> Result<(), RouteError> {
-        if self.underlying.label_at(rec.current()) == target {
-            return Ok(());
-        }
-        let sub = self.underlying.route(m, rec.current(), target)?;
-        rec.absorb(&sub)
+    fn zoom_row(&self, u: NodeId, k: usize) -> (NodeId, usize) {
+        zoom_row(&self.arena, self.node_off[u as usize], &self.widths, self.cnt, k)
+    }
+
+    fn facility(&self, k: usize, j: usize) -> Facility<PackedTree<'_, U32Codec>> {
+        Facility::Own(self.trees[k][j].at(&self.arena))
+    }
+
+    fn label(&self, u: NodeId) -> Label {
+        self.underlying.label(u)
+    }
+
+    fn route_label(&self, m: &MetricSpace, src: NodeId, to: Label) -> Result<Route, RouteError> {
+        self.underlying.route(m, src, to)
     }
 }
 
@@ -231,33 +236,7 @@ impl ForwardingPlane for SimpleNiPlane {
     }
 
     fn route_named(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError> {
-        let mut rec = RouteRecorder::new(m, src);
-        rec.note_header_bits(self.widths.node + self.widths.level);
-
-        if self.name_at(src) == name {
-            return Ok(rec.finish());
-        }
-
-        for k in 0..self.nrounds {
-            let (y, j) = self.zoom_row(src, k);
-            rec.begin_segment("zoom", Some(k as u32));
-            self.go(m, &mut rec, self.underlying.label_at(y))?;
-
-            rec.begin_segment("search", Some(k as u32));
-            let walk = self.trees[k][j].search(&self.arena, name as u64);
-            for &x in &walk.nodes[1..] {
-                self.go(m, &mut rec, self.underlying.label_at(x))?;
-            }
-            if let Some(label) = walk.result {
-                rec.begin_segment("final", Some(k as u32));
-                self.go(m, &mut rec, label)?;
-                return Ok(rec.finish());
-            }
-        }
-        Err(RouteError::LookupFailed {
-            at: rec.current(),
-            detail: format!("name {name} not found at any round (top ball must cover V)"),
-        })
+        route_by_name(self, m, src, name)
     }
 }
 
@@ -317,9 +296,7 @@ impl ScaleFreeNiPlane {
                     arena.push(0, cnt);
                     continue;
                 }
-                let host = s.rounds().host_level(k);
-                let y = nets.zoom(u, host);
-                let j = nets.level(host).binary_search(&y).expect("zoom lands in Y_i");
+                let (y, j) = s.rounds().zoom_row(nets, u, k);
                 arena.push(y as u64, widths.node);
                 arena.push(j as u64, cnt);
             }
@@ -447,66 +424,38 @@ impl ScaleFreeNiPlane {
     pub fn underlying(&self) -> &ScaleFreeLabeledPlane {
         &self.underlying
     }
+}
 
-    /// The packed name of node `u`.
-    pub fn name_at(&self, u: NodeId) -> Name {
+impl NiTable for ScaleFreeNiPlane {
+    type Tree<'a> = PackedTree<'a, U32Codec>;
+
+    fn name(&self, u: NodeId) -> Name {
         self.arena.read(self.node_off[u as usize], self.widths.node) as Name
     }
 
-    /// The packed `(y, j)` zoom row of node `u` for round `k`.
+    fn round_count(&self) -> usize {
+        self.nrounds
+    }
+
     fn zoom_row(&self, u: NodeId, k: usize) -> (NodeId, usize) {
-        let off = self.node_off[u as usize]
-            + self.widths.node
-            + k as u64 * zoom_row_bits(&self.widths, self.cnt);
-        (
-            self.arena.read(off, self.widths.node) as NodeId,
-            self.arena.read(off + self.widths.node, self.cnt) as usize,
-        )
+        zoom_row(&self.arena, self.node_off[u as usize], &self.widths, self.cnt, k)
     }
 
-    /// `go()` via the underlying packed plane.
-    fn go(
-        &self,
-        m: &MetricSpace,
-        rec: &mut RouteRecorder<'_>,
-        target: Label,
-    ) -> Result<(), RouteError> {
-        if self.underlying.label_at(rec.current()) == target {
-            return Ok(());
-        }
-        let sub = self.underlying.route(m, rec.current(), target)?;
-        rec.absorb(&sub)
-    }
-
-    /// Algorithm 4's local search against the packed facilities.
-    fn search(
-        &self,
-        m: &MetricSpace,
-        rec: &mut RouteRecorder<'_>,
-        k: usize,
-        j: usize,
-        name: Name,
-    ) -> Result<Option<Label>, RouteError> {
+    fn facility(&self, k: usize, j: usize) -> Facility<PackedTree<'_, U32Codec>> {
         match &self.facility[k][j] {
-            PackedFacility::Own(tree) => {
-                let walk = tree.search(&self.arena, name as u64);
-                for &x in &walk.nodes[1..] {
-                    self.go(m, rec, self.underlying.label_at(x))?;
-                }
-                Ok(walk.result)
-            }
+            PackedFacility::Own(tree) => Facility::Own(tree.at(&self.arena)),
             PackedFacility::Link { j: bj, ball } => {
-                let tree = &self.btrees[*bj as usize][*ball as usize];
-                let y = rec.current();
-                self.go(m, rec, self.underlying.label_at(tree.center()))?;
-                let walk = tree.search(&self.arena, name as u64);
-                for &x in &walk.nodes[1..] {
-                    self.go(m, rec, self.underlying.label_at(x))?;
-                }
-                self.go(m, rec, self.underlying.label_at(y))?;
-                Ok(walk.result)
+                Facility::Link(self.btrees[*bj as usize][*ball as usize].at(&self.arena))
             }
         }
+    }
+
+    fn label(&self, u: NodeId) -> Label {
+        self.underlying.label(u)
+    }
+
+    fn route_label(&self, m: &MetricSpace, src: NodeId, to: Label) -> Result<Route, RouteError> {
+        self.underlying.route(m, src, to)
     }
 }
 
@@ -532,29 +481,7 @@ impl ForwardingPlane for ScaleFreeNiPlane {
     }
 
     fn route_named(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError> {
-        let mut rec = RouteRecorder::new(m, src);
-        rec.note_header_bits(self.widths.node + self.widths.level);
-
-        if self.name_at(src) == name {
-            return Ok(rec.finish());
-        }
-
-        for k in 0..self.nrounds {
-            let (y, j) = self.zoom_row(src, k);
-            rec.begin_segment("zoom", Some(k as u32));
-            self.go(m, &mut rec, self.underlying.label_at(y))?;
-
-            rec.begin_segment("search", Some(k as u32));
-            if let Some(label) = self.search(m, &mut rec, k, j, name)? {
-                rec.begin_segment("final", Some(k as u32));
-                self.go(m, &mut rec, label)?;
-                return Ok(rec.finish());
-            }
-        }
-        Err(RouteError::LookupFailed {
-            at: rec.current(),
-            detail: format!("name {name} not found at any round (top ball must cover V)"),
-        })
+        route_by_name(self, m, src, name)
     }
 }
 

@@ -21,7 +21,8 @@
 //! the paper. The extra rounds add a `log(1/ε)` factor to the number of
 //! search trees, absorbed in `(1/ε)^{O(α)}`.
 
-use doubling_metric::graph::Dist;
+use doubling_metric::graph::{Dist, NodeId};
+use doubling_metric::nets::NetHierarchy;
 use doubling_metric::space::MetricSpace;
 use doubling_metric::{ceil_log2, Eps};
 
@@ -61,6 +62,14 @@ impl Rounds {
     /// Panics on shift overflow (diameters beyond `~2^55`).
     pub fn radius(&self, k: usize) -> Dist {
         self.s0.checked_shl(k as u32).expect("round radius overflow")
+    }
+
+    /// Round `k`'s host for source `u`: its zoom point `y = u(i_k)` and
+    /// `y`'s index in the hosting net level.
+    pub fn zoom_row(&self, nets: &NetHierarchy, u: NodeId, k: usize) -> (NodeId, usize) {
+        let host = self.host_level(k);
+        let y = nets.zoom(u, host);
+        (y, nets.level(host).binary_search(&y).expect("zoom lands in Y_i"))
     }
 
     /// `⌈log₂(1/ε)⌉`.

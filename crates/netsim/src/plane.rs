@@ -194,10 +194,12 @@ impl<'a> BitCursor<'a> {
 ///
 /// Hop-identity contract: for every `(source, target)` the returned
 /// [`Route`] is **equal** (`PartialEq`, i.e. hops, cost, segments, and
-/// header bits all match) to the reference scheme's route — the packed
-/// plane replays the exact decision procedure against packed state. The
-/// differential layer in `crates/netsim/tests/proptest_plane.rs` enforces
-/// this on random connected graphs.
+/// header bits all match) to the reference scheme's route. The schemes'
+/// planes run the reference's own generic routing procedure over packed
+/// implementations of its table-read trait, so the contract reduces to
+/// packed reads equalling owned reads. The differential layer in
+/// `crates/netsim/tests/proptest_plane.rs` checks both, on random
+/// connected graphs.
 pub trait ForwardingPlane: Send + Sync {
     /// Compiled scheme's name (e.g. `"net-labeled"`).
     fn plane_name(&self) -> &'static str;
@@ -231,7 +233,8 @@ pub trait ForwardingPlane: Send + Sync {
     fn route_named(&self, m: &MetricSpace, src: NodeId, name: Name) -> Result<Route, RouteError>;
 
     /// First hop from `at` toward the node labeled `target` (`None` when
-    /// already there) — the per-message forwarding decision.
+    /// already there) — the per-message forwarding decision. The default
+    /// builds the whole route and returns its second hop.
     ///
     /// # Errors
     ///

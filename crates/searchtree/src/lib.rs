@@ -29,7 +29,9 @@
 
 pub mod packed;
 
-pub use packed::{PackedSearchTree, PackedTreeWidths, PayloadCodec, PortLabelCodec, U32Codec};
+pub use packed::{
+    PackedSearchTree, PackedTree, PackedTreeWidths, PayloadCodec, PortLabelCodec, U32Codec,
+};
 
 use doubling_metric::graph::{Dist, NodeId};
 use doubling_metric::space::MetricSpace;
@@ -56,6 +58,40 @@ pub struct SearchWalk<D> {
     /// Deepest tree level (edges below the root) the lookup descended to —
     /// the per-lookup depth statistic the observability layer aggregates.
     pub depth: usize,
+}
+
+/// The per-node table reads of an Algorithm 2 lookup. `&SearchTree` and
+/// [`PackedTree`] implement it; [`Self::search`] is the one walk over
+/// both.
+pub trait SearchTable: Copy {
+    /// The stored payload type.
+    type Item;
+
+    /// Scans the node at local index `u`: the payload stored under `key`
+    /// (if any) and the first child, as a local index, whose subtree key
+    /// range contains `key` (if any).
+    fn scan(self, u: u32, key: u64) -> (Option<Self::Item>, Option<u32>);
+
+    /// The graph node at local index `u` (`0` is the root).
+    fn node(self, u: u32) -> NodeId;
+
+    /// Algorithm 2: descend from the root while the current node misses
+    /// and a child range covers `key`, then report back to the root.
+    fn search(self, key: u64) -> SearchWalk<Self::Item> {
+        let mut down: Vec<u32> = vec![0];
+        let result = loop {
+            match self.scan(*down.last().expect("root"), key) {
+                (Some(data), _) => break Some(data),
+                (None, Some(c)) => down.push(c),
+                (None, None) => break None,
+            }
+        };
+        let mut nodes: Vec<NodeId> = down.iter().map(|&u| self.node(u)).collect();
+        for i in (0..down.len() - 1).rev() {
+            nodes.push(nodes[i]);
+        }
+        SearchWalk { nodes, result, depth: down.len() - 1 }
+    }
 }
 
 /// A search tree over a ball, with stored `(key, data)` pairs.
@@ -303,36 +339,9 @@ impl<D: Clone> SearchTree<D> {
         order
     }
 
-    /// Algorithm 2: look up `key` starting from the root, returning the
-    /// walk (down and back up) and the retrieved data if present.
+    /// Algorithm 2 over the owned tables: [`SearchTable::search`].
     pub fn search(&self, key: u64) -> SearchWalk<D> {
-        let mut down: Vec<u32> = vec![0];
-        let mut cur = 0u32;
-        'descend: loop {
-            // If the current node itself stores the key, stop here.
-            if self.pairs[cur as usize].binary_search_by_key(&key, |&(k, _)| k).is_ok() {
-                break;
-            }
-            for &c in self.tree.children(cur) {
-                if let Some((lo, hi)) = self.subtree_range[c as usize] {
-                    if lo <= key && key <= hi {
-                        down.push(c);
-                        cur = c;
-                        continue 'descend;
-                    }
-                }
-            }
-            break; // no child range contains the key
-        }
-        let result = self.pairs[cur as usize]
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .ok()
-            .map(|idx| self.pairs[cur as usize][idx].1.clone());
-
-        let mut nodes: Vec<NodeId> = down.iter().map(|&u| self.tree.node(u)).collect();
-        let back: Vec<NodeId> = down.iter().rev().skip(1).map(|&u| self.tree.node(u)).collect();
-        nodes.extend(back);
-        SearchWalk { nodes, result, depth: down.len() - 1 }
+        SearchTable::search(self, key)
     }
 
     /// Inserts a `(key, data)` pair after construction (mobility support:
@@ -607,6 +616,23 @@ impl<D: Clone> SearchTree<D> {
     /// edges without being members, in ascending id order.
     pub fn relay_nodes(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
         self.relay_entries.iter().copied()
+    }
+}
+
+impl<D: Clone> SearchTable for &SearchTree<D> {
+    type Item = D;
+
+    fn scan(self, u: u32, key: u64) -> (Option<D>, Option<u32>) {
+        let pairs = &self.pairs[u as usize];
+        let hit = pairs.binary_search_by_key(&key, |&(k, _)| k).ok().map(|i| pairs[i].1.clone());
+        let descend = self.tree.children(u).iter().copied().find(|&c| {
+            self.subtree_range[c as usize].is_some_and(|(lo, hi)| lo <= key && key <= hi)
+        });
+        (hit, descend)
+    }
+
+    fn node(self, u: u32) -> NodeId {
+        self.tree.node(u)
     }
 }
 

@@ -4,10 +4,11 @@
 //! schemes and the scale-free labeled scheme route through. A
 //! [`PackedSearchTree`] is the same structure compiled into a plane's
 //! [`BitArena`]: the tree skeleton, subtree key ranges, and stored
-//! `(key, payload)` pairs are written as a self-describing field stream,
-//! and [`PackedSearchTree::search`] replays [`crate::SearchTree::search`]'s
-//! exact descent against the packed bits — same visited nodes, same
-//! result, same depth.
+//! `(key, payload)` pairs are written as a self-describing field stream.
+//! [`PackedTree`] (a packed tree paired with its arena) implements
+//! [`SearchTable`]'s per-node scan over those bits, so the packed tree is
+//! searched by the same [`SearchTable::search`] walk as the owned one —
+//! same visited nodes, same result, same depth.
 //!
 //! Payloads differ per use (a `u32` label for the name-independent
 //! directories, a [`treeroute::PortLabel`] for the scale-free packing
@@ -31,10 +32,10 @@ use doubling_metric::graph::NodeId;
 use netsim::plane::{BitArena, BitCursor};
 use treeroute::PortLabel;
 
-use crate::{SearchTree, SearchWalk};
+use crate::{SearchTable, SearchTree, SearchWalk};
 
 /// Serialization of one stored payload inside a [`PackedSearchTree`].
-pub trait PayloadCodec {
+pub trait PayloadCodec: Copy {
     /// The payload type (the `D` of the source [`SearchTree`]).
     type Item: Clone;
 
@@ -137,7 +138,7 @@ pub struct PackedTreeWidths {
 
 /// A [`SearchTree`] compiled into a plane's arena: bit offsets into the
 /// shared [`BitArena`] plus the payload codec. The arena itself is owned
-/// by the plane and passed to [`Self::search`].
+/// by the plane and handed over by [`Self::at`].
 #[derive(Debug, Clone)]
 pub struct PackedSearchTree<C: PayloadCodec> {
     codec: C,
@@ -227,79 +228,61 @@ impl<C: PayloadCodec> PackedSearchTree<C> {
         self.center
     }
 
-    /// Number of tree members.
+    /// This tree read against the arena it was compiled into.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.local_off.len()
+    pub fn at<'a>(&'a self, arena: &'a BitArena) -> PackedTree<'a, C> {
+        PackedTree { tree: self, arena }
     }
 
-    /// Whether the tree has no members (never true for a well-formed
-    /// tree, which contains at least its center).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.local_off.is_empty()
+    /// Algorithm 2 against the packed bits: [`SearchTable::search`] on
+    /// [`Self::at`]`(arena)`.
+    pub fn search(&self, arena: &BitArena, key: u64) -> SearchWalk<C::Item> {
+        self.at(arena).search(key)
     }
+}
 
-    /// Scans local `u`'s record: the payload stored under `key` (if any)
-    /// and the first child whose subtree range contains `key`.
-    fn scan(&self, arena: &BitArena, u: u32, key: u64) -> (NodeId, Option<C::Item>, Option<u32>) {
-        let mut cur = BitCursor::new(arena, self.local_off[u as usize]);
-        let v = cur.take(self.widths.node) as NodeId;
-        let npairs = cur.take(self.widths.cnt);
+/// A [`PackedSearchTree`] paired with the arena holding its bits: the
+/// packed implementation of [`SearchTable`].
+#[derive(Debug, Clone, Copy)]
+pub struct PackedTree<'a, C: PayloadCodec> {
+    tree: &'a PackedSearchTree<C>,
+    arena: &'a BitArena,
+}
+
+impl<C: PayloadCodec> SearchTable for PackedTree<'_, C> {
+    type Item = C::Item;
+
+    /// Reads local `u`'s record front to back: the stored pairs, then the
+    /// child ranges.
+    fn scan(self, u: u32, key: u64) -> (Option<C::Item>, Option<u32>) {
+        let t = self.tree;
+        let mut cur = BitCursor::new(self.arena, t.local_off[u as usize] + t.widths.node);
+        let npairs = cur.take(t.widths.cnt);
         let mut hit = None;
         for _ in 0..npairs {
-            let k = cur.take(self.widths.key);
-            let d = self.codec.decode(&mut cur);
+            let k = cur.take(t.widths.key);
+            let d = t.codec.decode(&mut cur);
             if k == key && hit.is_none() {
                 hit = Some(d);
             }
         }
-        let nchildren = cur.take(self.widths.cnt);
+        let nchildren = cur.take(t.widths.cnt);
         let mut descend = None;
         for _ in 0..nchildren {
-            let c = cur.take(self.widths.cnt) as u32;
+            let c = cur.take(t.widths.cnt) as u32;
             if cur.take(1) == 1 {
-                let lo = cur.take(self.widths.key);
-                let hi = cur.take(self.widths.key);
+                let lo = cur.take(t.widths.key);
+                let hi = cur.take(t.widths.key);
                 if descend.is_none() && lo <= key && key <= hi {
                     descend = Some(c);
                 }
             }
         }
-        (v, hit, descend)
+        (hit, descend)
     }
 
-    /// The node id of local index `u`.
-    fn node_of(&self, arena: &BitArena, u: u32) -> NodeId {
-        arena.read(self.local_off[u as usize], self.widths.node) as NodeId
-    }
-
-    /// Replays [`SearchTree::search`] against the packed bits: descend
-    /// while the current holder misses and a child range covers the key,
-    /// then report back to the root. Identical walk, result, and depth.
-    pub fn search(&self, arena: &BitArena, key: u64) -> SearchWalk<C::Item> {
-        let mut down: Vec<u32> = vec![0];
-        let mut cur = 0u32;
-        let mut result;
-        loop {
-            let (_, hit, descend) = self.scan(arena, cur, key);
-            result = hit;
-            if result.is_some() {
-                break;
-            }
-            match descend {
-                Some(c) => {
-                    down.push(c);
-                    cur = c;
-                }
-                None => break,
-            }
-        }
-        let mut nodes: Vec<NodeId> = down.iter().map(|&u| self.node_of(arena, u)).collect();
-        let back: Vec<NodeId> =
-            down.iter().rev().skip(1).map(|&u| self.node_of(arena, u)).collect();
-        nodes.extend(back);
-        SearchWalk { nodes, result, depth: down.len() - 1 }
+    fn node(self, u: u32) -> NodeId {
+        self.arena.read(self.tree.local_off[u as usize], self.tree.widths.node) as NodeId
     }
 }
 

@@ -36,5 +36,5 @@ pub mod tree;
 
 pub use compact::{CompactLabel, CompactTreeRouter};
 pub use interval::IntervalRouter;
-pub use port::{PortLabel, PortTreeRouter};
+pub use port::{PortLabel, PortTable, PortTreeRouter};
 pub use tree::{Tree, TreeError};

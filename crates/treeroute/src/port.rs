@@ -62,6 +62,74 @@ impl PortLabel {
     }
 }
 
+/// The per-node table reads of heavy-path port routing: a node's local
+/// index and its router record. `&PortTreeRouter` and the scale-free
+/// labeled plane implement it; [`Self::next_hop`] and [`Self::route`]
+/// are the one procedure over both.
+pub trait PortTable: Copy {
+    /// Local index of graph node `v`.
+    fn local(self, v: NodeId) -> u32;
+
+    /// DFS number of local index `u`.
+    fn dfs_of(self, u: u32) -> u32;
+
+    /// DFS interval `[lo, hi]` of the subtree at local index `u`.
+    fn interval_of(self, u: u32) -> (u32, u32);
+
+    /// Graph node of local index `u`'s parent (the root is its own
+    /// parent).
+    fn parent_node(self, u: u32) -> NodeId;
+
+    /// Heavy child of local index `u` as `(graph node, DFS interval)`, or
+    /// `None` for a leaf.
+    fn heavy_child(self, u: u32) -> Option<(NodeId, (u32, u32))>;
+
+    /// The port field width in bits (`⌈log₂ max-degree⌉`).
+    fn port_bits(self) -> u64;
+
+    /// Next hop from `from` toward `target`, or `None` on arrival. The
+    /// decision uses the node's constant-size table, the label in the
+    /// header, and the node's own physical link list (free).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is not in the tree or a port is out of range.
+    fn next_hop(self, g: &Graph, from: NodeId, target: &PortLabel) -> Option<NodeId> {
+        let u = self.local(from);
+        let my = self.dfs_of(u);
+        if my == target.dfs {
+            return None;
+        }
+        let (lo, hi) = self.interval_of(u);
+        if target.dfs < lo || target.dfs > hi {
+            return Some(self.parent_node(u));
+        }
+        if let Some((h, (hlo, hhi))) = self.heavy_child(u) {
+            if hlo <= target.dfs && target.dfs <= hhi {
+                return Some(h);
+            }
+        }
+        for &(x_dfs, port) in &target.lights {
+            if x_dfs == my {
+                return Some(g.neighbors(from)[port as usize].node);
+            }
+        }
+        unreachable!("light trail must name the branching port")
+    }
+
+    /// Full route from `from` to the labeled node (graph nodes,
+    /// inclusive).
+    fn route(self, g: &Graph, from: NodeId, target: &PortLabel) -> Vec<NodeId> {
+        let mut path = vec![from];
+        let mut cur = from;
+        while let Some(next) = self.next_hop(g, cur, target) {
+            path.push(next);
+            cur = next;
+        }
+        path
+    }
+}
+
 /// Port-based heavy-path router over a tree embedded in a graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortTreeRouter {
@@ -178,11 +246,6 @@ impl PortTreeRouter {
         &self.tree
     }
 
-    /// The port field width in bits (`⌈log₂ max-degree⌉`).
-    pub fn port_bits(&self) -> u64 {
-        self.port_bits
-    }
-
     /// The label of graph node `v`.
     ///
     /// # Panics
@@ -190,25 +253,6 @@ impl PortTreeRouter {
     /// Panics if `v` is not in the tree.
     pub fn label_of(&self, v: NodeId) -> &PortLabel {
         &self.labels[self.tree.local(v).expect("node in tree") as usize]
-    }
-
-    /// DFS number of local index `i` — the per-node field a plane compiler
-    /// packs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn dfs_of(&self, i: u32) -> u32 {
-        self.dfs[i as usize]
-    }
-
-    /// DFS interval `[lo, hi]` of the subtree at local index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn interval_of(&self, i: u32) -> (u32, u32) {
-        self.interval[i as usize]
     }
 
     /// Heavy child (local index) of local index `i`, or `None` for a leaf.
@@ -221,50 +265,6 @@ impl PortTreeRouter {
         (h != NO_CHILD).then_some(h)
     }
 
-    /// Next hop from `from` toward `target`, or `None` on arrival. The
-    /// decision uses the node's constant-size table, the label in the
-    /// header, and the node's own physical link list (free).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not in the tree or a port is out of range.
-    pub fn next_hop(&self, g: &Graph, from: NodeId, target: &PortLabel) -> Option<NodeId> {
-        let u = self.tree.local(from).expect("node in tree");
-        let my = self.dfs[u as usize];
-        if my == target.dfs {
-            return None;
-        }
-        let (lo, hi) = self.interval[u as usize];
-        if target.dfs < lo || target.dfs > hi {
-            return Some(self.tree.node(self.tree.parent(u)));
-        }
-        let h = self.heavy[u as usize];
-        if h != NO_CHILD {
-            let (hlo, hhi) = self.interval[h as usize];
-            if hlo <= target.dfs && target.dfs <= hhi {
-                return Some(self.tree.node(h));
-            }
-        }
-        for &(x_dfs, port) in &target.lights {
-            if x_dfs == my {
-                return Some(g.neighbors(from)[port as usize].node);
-            }
-        }
-        unreachable!("light trail must name the branching port")
-    }
-
-    /// Full route from `from` to the labeled node (graph nodes,
-    /// inclusive).
-    pub fn route(&self, g: &Graph, from: NodeId, target: &PortLabel) -> Vec<NodeId> {
-        let mut path = vec![from];
-        let mut cur = from;
-        while let Some(next) = self.next_hop(g, cur, target) {
-            path.push(next);
-            cur = next;
-        }
-        path
-    }
-
     /// Table bits per node: same seven node-sized fields as the id-based
     /// router (the port tables are the node's physical links, free).
     pub fn table_bits(&self, _v: NodeId, node_bits: u64) -> u64 {
@@ -274,6 +274,32 @@ impl PortTreeRouter {
     /// The largest label in bits.
     pub fn max_label_bits(&self, node_bits: u64) -> u64 {
         self.labels.iter().map(|l| l.bits(node_bits, self.port_bits)).max().unwrap_or(node_bits)
+    }
+}
+
+impl PortTable for &PortTreeRouter {
+    fn local(self, v: NodeId) -> u32 {
+        self.tree.local(v).expect("node in tree")
+    }
+
+    fn dfs_of(self, u: u32) -> u32 {
+        self.dfs[u as usize]
+    }
+
+    fn interval_of(self, u: u32) -> (u32, u32) {
+        self.interval[u as usize]
+    }
+
+    fn parent_node(self, u: u32) -> NodeId {
+        self.tree.node(self.tree.parent(u))
+    }
+
+    fn heavy_child(self, u: u32) -> Option<(NodeId, (u32, u32))> {
+        self.heavy_of(u).map(|h| (self.tree.node(h), self.interval[h as usize]))
+    }
+
+    fn port_bits(self) -> u64 {
+        self.port_bits
     }
 }
 
