@@ -130,16 +130,23 @@ pub struct SearchTree<D> {
     levels: u32,
     /// Whether Definition 4.2 tails were attached.
     has_tails: bool,
-    /// Stored pairs per local index, in ascending key order.
-    pairs: Vec<Vec<(u64, D)>>,
-    /// Min/max stored key in each local subtree (`None` if empty).
-    subtree_range: Vec<Option<(u64, u64)>>,
+    /// Stored pairs in CSR form: local index `u` holds
+    /// `pairs[pair_off[u]..pair_off[u + 1]]`, in ascending key order.
+    pair_off: Vec<u32>,
+    pairs: Vec<(u64, D)>,
+    /// Min/max stored key in each local subtree, [`EMPTY_RANGE`] if the
+    /// subtree stores nothing.
+    subtree_range: Vec<(u64, u64)>,
     /// Lemma 4.3 relay accounting: for every *graph* node lying strictly
     /// inside the shortest path realizing a virtual tree edge, the number
     /// of next-hop entries it must store (two directions per edge it
     /// relays). Sorted by graph node id.
-    relay_entries: Vec<(NodeId, u64)>,
+    relay_entries: Vec<(NodeId, u32)>,
 }
+
+/// The key range of a subtree that stores no pairs: `lo > hi`, so it
+/// covers no key and is the identity of the min/max merge.
+const EMPTY_RANGE: (u64, u64) = (u64::MAX, 0);
 
 impl<D: Clone> SearchTree<D> {
     /// Builds the search tree over `ball` (which must contain `center`)
@@ -242,7 +249,7 @@ impl<D: Clone> SearchTree<D> {
         // entries in both directions. Tally those entries per graph node by
         // walking the parent's shortest-path tree up from the child.
         let apsp = m.apsp();
-        let mut count = vec![0u64; m.n()];
+        let mut count = vec![0u32; m.n()];
         let mut relays: Vec<NodeId> = Vec::new();
         for &(child, parent, _) in &edges {
             let mut x = apsp.parent(parent, child);
@@ -255,7 +262,7 @@ impl<D: Clone> SearchTree<D> {
             }
         }
         relays.sort_unstable();
-        let relay_entries: Vec<(NodeId, u64)> =
+        let relay_entries: Vec<(NodeId, u32)> =
             relays.into_iter().map(|x| (x, count[x as usize])).collect();
 
         let tree = Tree::new(center, edges).expect("layering forms a tree");
@@ -269,6 +276,7 @@ impl<D: Clone> SearchTree<D> {
             level_of,
             levels,
             has_tails,
+            pair_off: Vec::new(),
             pairs: Vec::new(),
             subtree_range: Vec::new(),
             relay_entries,
@@ -284,45 +292,69 @@ impl<D: Clone> SearchTree<D> {
         let m = self.tree.len();
         let k = items.len();
         let per_node = if k == 0 { 0 } else { k.div_ceil(m) };
+        assert!(u32::try_from(k).is_ok(), "pair count must fit the u32 offsets");
 
-        let mut pairs: Vec<Vec<(u64, D)>> = vec![Vec::new(); m];
+        // The node at DFS position `i` takes the sorted items
+        // `i·per_node..(i+1)·per_node` (fewer at the end); the flat store
+        // keeps each node's run at its local index.
         let order = self.dfs_order();
-        let mut it = items.into_iter();
-        'outer: for &u in &order {
-            for _ in 0..per_node {
-                match it.next() {
-                    Some(p) => pairs[u as usize].push(p),
-                    None => break 'outer,
-                }
+        let mut pair_off = vec![0u32; m + 1];
+        for (i, &u) in order.iter().enumerate() {
+            pair_off[u as usize + 1] = per_node.min(k.saturating_sub(i * per_node)) as u32;
+        }
+        for u in 0..m {
+            pair_off[u + 1] += pair_off[u];
+        }
+        // Move each item to its slot by following the permutation's
+        // cycles: every swap puts one item in place.
+        let mut dest: Vec<u32> = (0..k)
+            .map(|i| pair_off[order[i / per_node] as usize] + (i % per_node) as u32)
+            .collect();
+        for i in 0..k {
+            while dest[i] as usize != i {
+                let d = dest[i] as usize;
+                items.swap(i, d);
+                dest.swap(i, d);
             }
         }
+        // Callers collect pairs through filters, which leaves spare
+        // capacity that the tree would otherwise keep for its lifetime.
+        items.shrink_to_fit();
 
         // Subtree ranges bottom-up (children appear after parents in
         // `order`, so reverse iteration is a valid bottom-up order).
-        let mut range: Vec<Option<(u64, u64)>> = vec![None; m];
+        let mut range = vec![EMPTY_RANGE; m];
         for &u in order.iter().rev() {
-            let mut lo = u64::MAX;
-            let mut hi = 0u64;
-            let mut any = false;
-            if let (Some(&(first, _)), Some(&(last, _))) =
-                (pairs[u as usize].first(), pairs[u as usize].last())
-            {
-                lo = lo.min(first);
-                hi = hi.max(last);
-                any = true;
-            }
+            let own = &items[pair_off[u as usize] as usize..pair_off[u as usize + 1] as usize];
+            let (mut lo, mut hi) = match (own.first(), own.last()) {
+                (Some(&(first, _)), Some(&(last, _))) => (first, last),
+                _ => EMPTY_RANGE,
+            };
             for &c in self.tree.children(u) {
-                if let Some((clo, chi)) = range[c as usize] {
-                    lo = lo.min(clo);
-                    hi = hi.max(chi);
-                    any = true;
-                }
+                let (clo, chi) = range[c as usize];
+                lo = lo.min(clo);
+                hi = hi.max(chi);
             }
-            range[u as usize] = any.then_some((lo, hi));
+            range[u as usize] = (lo, hi);
         }
 
-        self.pairs = pairs;
+        self.pair_off = pair_off;
+        self.pairs = items;
         self.subtree_range = range;
+    }
+
+    /// The pairs stored at local index `u`.
+    #[inline]
+    pub(crate) fn pairs_local(&self, u: u32) -> &[(u64, D)] {
+        &self.pairs[self.pair_off[u as usize] as usize..self.pair_off[u as usize + 1] as usize]
+    }
+
+    /// Whether the key range of the subtree at local index `u` contains
+    /// `key` (never for a subtree that stores nothing).
+    #[inline]
+    fn covers(&self, u: u32, key: u64) -> bool {
+        let (lo, hi) = self.subtree_range[u as usize];
+        lo <= key && key <= hi
     }
 
     /// Pre-order DFS over local indices, children in graph-id order — the
@@ -347,35 +379,37 @@ impl<D: Clone> SearchTree<D> {
     /// Inserts a `(key, data)` pair after construction (mobility support:
     /// a tracked object arriving in this tree's ball). The pair is stored
     /// at the root and the root's range is widened; lookups that may run
-    /// after mutations should use [`Self::search_all`].
+    /// after mutations should use [`Self::search_all`]. Costs O(pairs):
+    /// every later run of the flat store shifts by one.
     pub fn insert_pair(&mut self, key: u64, data: D) {
-        let idx = self.pairs[0].partition_point(|&(k, _)| k < key);
-        self.pairs[0].insert(idx, (key, data));
-        self.subtree_range[0] = Some(match self.subtree_range[0] {
-            Some((lo, hi)) => (lo.min(key), hi.max(key)),
-            None => (key, key),
-        });
+        assert!(self.pairs.len() < u32::MAX as usize, "pair count must fit the u32 offsets");
+        let idx = self.pairs_local(0).partition_point(|&(k, _)| k < key);
+        self.pairs.insert(idx, (key, data));
+        for off in &mut self.pair_off[1..] {
+            *off += 1;
+        }
+        let (lo, hi) = self.subtree_range[0];
+        self.subtree_range[0] = (lo.min(key), hi.max(key));
     }
 
     /// Removes one pair with `key` (mobility support: the object left).
     /// Ranges are left conservative (they may over-approximate after
     /// removals), which [`Self::search_all`]'s backtracking tolerates.
+    /// Costs O(pairs), like [`Self::insert_pair`].
     ///
     /// Returns the removed data, or `None` if the key is absent.
     pub fn remove_pair(&mut self, key: u64) -> Option<D> {
         // Backtracking DFS over range-matching subtrees.
         let mut stack = vec![0u32];
         while let Some(u) = stack.pop() {
-            if let Ok(idx) = self.pairs[u as usize].binary_search_by_key(&key, |&(k, _)| k) {
-                return Some(self.pairs[u as usize].remove(idx).1);
-            }
-            for &c in self.tree.children(u) {
-                if let Some((lo, hi)) = self.subtree_range[c as usize] {
-                    if lo <= key && key <= hi {
-                        stack.push(c);
-                    }
+            if let Ok(idx) = self.pairs_local(u).binary_search_by_key(&key, |&(k, _)| k) {
+                let at = self.pair_off[u as usize] as usize + idx;
+                for off in &mut self.pair_off[u as usize + 1..] {
+                    *off -= 1;
                 }
+                return Some(self.pairs.remove(at).1);
             }
+            stack.extend(self.tree.children(u).iter().filter(|&&c| self.covers(c, key)));
         }
         None
     }
@@ -398,10 +432,8 @@ impl<D: Clone> SearchTree<D> {
     /// Incremental repair uses it for trees whose ball is untouched but
     /// whose destinations were relabeled.
     pub fn relabel(&mut self, mut f: impl FnMut(u64) -> D) {
-        for node in &mut self.pairs {
-            for (key, data) in node.iter_mut() {
-                *data = f(*key);
-            }
+        for (key, data) in &mut self.pairs {
+            *data = f(*key);
         }
     }
 
@@ -422,7 +454,7 @@ impl<D: Clone> SearchTree<D> {
         }
         for &(v, entries) in &self.relay_entries {
             if !self.tree.contains(v) {
-                f(v, entries * node_bits);
+                f(v, entries as u64 * node_bits);
             }
         }
     }
@@ -450,23 +482,22 @@ impl<D: Clone> SearchTree<D> {
                 return;
             }
             *max_depth = (*max_depth).max(depth);
-            if let Ok(idx) = st.pairs[u as usize].binary_search_by_key(&key, |&(k, _)| k) {
-                *result = Some(st.pairs[u as usize][idx].1.clone());
+            let pairs = st.pairs_local(u);
+            if let Ok(idx) = pairs.binary_search_by_key(&key, |&(k, _)| k) {
+                *result = Some(pairs[idx].1.clone());
                 return;
             }
             for &c in st.tree.children(u) {
                 if result.is_some() {
                     return;
                 }
-                if let Some((lo, hi)) = st.subtree_range[c as usize] {
-                    if lo <= key && key <= hi {
-                        nodes.push(st.tree.node(c));
-                        dfs(st, c, depth + 1, key, nodes, result, max_depth);
-                        if result.is_some() {
-                            return;
-                        }
-                        nodes.push(st.tree.node(u)); // backtrack
+                if st.covers(c, key) {
+                    nodes.push(st.tree.node(c));
+                    dfs(st, c, depth + 1, key, nodes, result, max_depth);
+                    if result.is_some() {
+                        return;
                     }
+                    nodes.push(st.tree.node(u)); // backtrack
                 }
             }
         }
@@ -529,7 +560,7 @@ impl<D: Clone> SearchTree<D> {
     ///
     /// Panics if `v` is not a member.
     pub fn pairs_at(&self, v: NodeId) -> &[(u64, D)] {
-        &self.pairs[self.tree.local(v).expect("member") as usize]
+        self.pairs_local(self.tree.local(v).expect("member"))
     }
 
     /// The key range covered by the subtree rooted at local index `local`
@@ -541,7 +572,8 @@ impl<D: Clone> SearchTree<D> {
     ///
     /// Panics if `local` is out of range.
     pub fn subtree_range_of(&self, local: u32) -> Option<(u64, u64)> {
-        self.subtree_range[local as usize]
+        let (lo, hi) = self.subtree_range[local as usize];
+        (lo <= hi).then_some((lo, hi))
     }
 
     /// Maximum number of children of any tree node (the paper bounds this
@@ -597,7 +629,7 @@ impl<D: Clone> SearchTree<D> {
         let deg = self.tree.children(u).len() as u64;
         let ranges = 2 * key_bits * (deg + 1);
         let links = node_bits * (deg + 1);
-        let stored: u64 = self.pairs[u as usize].iter().map(|(_, d)| key_bits + data_bits(d)).sum();
+        let stored: u64 = self.pairs_local(u).iter().map(|(_, d)| key_bits + data_bits(d)).sum();
         ranges + links + stored + self.relay_bits(self.tree.node(u), node_bits)
     }
 
@@ -608,14 +640,14 @@ impl<D: Clone> SearchTree<D> {
     pub fn relay_bits(&self, v: NodeId, node_bits: u64) -> u64 {
         self.relay_entries
             .binary_search_by_key(&v, |&(x, _)| x)
-            .map_or(0, |idx| self.relay_entries[idx].1)
+            .map_or(0, |idx| self.relay_entries[idx].1 as u64)
             * node_bits
     }
 
     /// Graph nodes (with entry counts) that relay this tree's virtual
     /// edges without being members, in ascending id order.
     pub fn relay_nodes(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.relay_entries.iter().copied()
+        self.relay_entries.iter().map(|&(x, entries)| (x, entries as u64))
     }
 }
 
@@ -623,11 +655,9 @@ impl<D: Clone> SearchTable for &SearchTree<D> {
     type Item = D;
 
     fn scan(self, u: u32, key: u64) -> (Option<D>, Option<u32>) {
-        let pairs = &self.pairs[u as usize];
+        let pairs = self.pairs_local(u);
         let hit = pairs.binary_search_by_key(&key, |&(k, _)| k).ok().map(|i| pairs[i].1.clone());
-        let descend = self.tree.children(u).iter().copied().find(|&c| {
-            self.subtree_range[c as usize].is_some_and(|(lo, hi)| lo <= key && key <= hi)
-        });
+        let descend = self.tree.children(u).iter().copied().find(|&c| self.covers(c, key));
         (hit, descend)
     }
 

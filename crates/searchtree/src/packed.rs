@@ -164,7 +164,7 @@ impl<C: PayloadCodec> PackedSearchTree<C> {
             local_off.push(arena.len_bits());
             let v = t.node(u);
             arena.push(v as u64, widths.node);
-            let pairs = tree.pairs_at(v);
+            let pairs = tree.pairs_local(u);
             arena.push(pairs.len() as u64, widths.cnt);
             for (k, d) in pairs {
                 arena.push(*k, widths.key);
@@ -253,7 +253,7 @@ impl<C: PayloadCodec> SearchTable for PackedTree<'_, C> {
     type Item = C::Item;
 
     /// Reads local `u`'s record front to back: the stored pairs, then the
-    /// child ranges.
+    /// child ranges up to the first one that covers `key`.
     fn scan(self, u: u32, key: u64) -> (Option<C::Item>, Option<u32>) {
         let t = self.tree;
         let mut cur = BitCursor::new(self.arena, t.local_off[u as usize] + t.widths.node);
@@ -267,18 +267,17 @@ impl<C: PayloadCodec> SearchTable for PackedTree<'_, C> {
             }
         }
         let nchildren = cur.take(t.widths.cnt);
-        let mut descend = None;
         for _ in 0..nchildren {
             let c = cur.take(t.widths.cnt) as u32;
             if cur.take(1) == 1 {
                 let lo = cur.take(t.widths.key);
                 let hi = cur.take(t.widths.key);
-                if descend.is_none() && lo <= key && key <= hi {
-                    descend = Some(c);
+                if lo <= key && key <= hi {
+                    return (hit, Some(c));
                 }
             }
         }
-        (hit, descend)
+        (hit, None)
     }
 
     fn node(self, u: u32) -> NodeId {

@@ -1,10 +1,11 @@
 //! Property-based tests for search trees: lookup correctness, the
-//! Eqn. (3) height bound, Algorithm 1's balanced distribution, and relay
-//! accounting consistency on random graphs and random ball choices.
+//! Eqn. (3) height bound, Algorithm 1's balanced distribution, relay
+//! accounting consistency, and the flat pair store under the mutation API
+//! on random graphs and random ball choices.
 
 use proptest::prelude::*;
 
-use doubling_metric::graph::{Graph, GraphBuilder};
+use doubling_metric::graph::{Graph, GraphBuilder, NodeId};
 use doubling_metric::{Eps, MetricSpace};
 use searchtree::{SearchTree, SearchTreeConfig};
 
@@ -30,8 +31,117 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// A tree over the ball `B(center, radius)` storing key `3x + 1` for every
+/// member `x`, with payload [`payload`] of the key.
+fn keyed_tree(m: &MetricSpace, center: NodeId, radius: u64) -> (SearchTree<u32>, Vec<(u64, u32)>) {
+    let ball: Vec<NodeId> = m.ball(center, radius).iter().map(|&(_, x)| x).collect();
+    let pairs: Vec<(u64, u32)> =
+        ball.iter().map(|&x| (x as u64 * 3 + 1, payload(x as u64 * 3 + 1))).collect();
+    let config = SearchTreeConfig { eps_r: (radius / 2).max(1), max_levels: None };
+    (SearchTree::new(m, center, &ball, config, pairs.clone()), pairs)
+}
+
+fn payload(key: u64) -> u32 {
+    (key / 3) as u32
+}
+
+/// Every stored key, sorted, checking on the way that each member's run
+/// is in ascending key order.
+fn stored_keys(st: &SearchTree<u32>) -> Vec<u64> {
+    let mut keys = Vec::new();
+    for &v in st.tree().nodes() {
+        let run = st.pairs_at(v);
+        assert!(run.windows(2).all(|w| w[0].0 <= w[1].0), "run at {v} is unsorted");
+        keys.extend(run.iter().map(|&(k, d)| {
+            assert_eq!(d, payload(k));
+            k
+        }));
+    }
+    keys.sort_unstable();
+    keys
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn insert_then_remove_restores_the_tree(
+        g in arb_graph(24),
+        center_raw in 0u32..24,
+        radius in 1u64..40,
+        key_raw in 0u64..u64::MAX,
+    ) {
+        let m = MetricSpace::new(&g);
+        let center = center_raw % m.n() as u32;
+        let (original, pairs) = keyed_tree(&m, center, radius);
+        let (lo, hi) = original.subtree_range_of(0).expect("the root range covers every pair");
+        // Stored keys are 1 mod 3; `3j + 2` is absent. Inside the root
+        // range the insert leaves every range as it was, so the removal
+        // restores the tree exactly.
+        let inside = lo + 1 + key_raw % (hi - lo + 1);
+        let inside = inside - inside % 3 + 2;
+        let mut st = original.clone();
+        st.insert_pair(inside, payload(inside));
+        prop_assert_eq!(st.pairs_at(center).iter().filter(|&&(k, _)| k == inside).count(), 1);
+        prop_assert_eq!(st.search_all(inside).result, Some(payload(inside)));
+        prop_assert_eq!(st.remove_pair(inside), Some(payload(inside)));
+        if inside <= hi {
+            prop_assert_eq!(&st, &original);
+        }
+        // Outside it, only the root range stays widened (ranges are
+        // conservative after removals); every pair is back in place.
+        let outside = hi + 1 + (key_raw % 1000) * 3;
+        let mut st = original.clone();
+        st.insert_pair(outside, payload(outside));
+        prop_assert_eq!(st.remove_pair(outside), Some(payload(outside)));
+        prop_assert_eq!(st.subtree_range_of(0), Some((lo, outside)));
+        for (u, &v) in (0u32..).zip(original.tree().nodes()) {
+            prop_assert_eq!(st.pairs_at(v), original.pairs_at(v));
+            if u > 0 {
+                prop_assert_eq!(st.subtree_range_of(u), original.subtree_range_of(u));
+            }
+        }
+        st.refresh_pairs(pairs);
+        prop_assert_eq!(&st, &original);
+    }
+
+    #[test]
+    fn refresh_after_mutations_equals_a_fresh_build(
+        g in arb_graph(24),
+        center_raw in 0u32..24,
+        radius in 1u64..40,
+        ops in proptest::collection::vec((0u32..3, 0u64..80), 0..40),
+    ) {
+        let m = MetricSpace::new(&g);
+        let center = center_raw % m.n() as u32;
+        let (fresh, pairs) = keyed_tree(&m, center, radius);
+        let mut st = fresh.clone();
+        // A sorted multiset of the keys the tree should hold.
+        let mut model: Vec<u64> = pairs.iter().map(|&(k, _)| k).collect();
+        model.sort_unstable();
+        for (op, key) in ops {
+            if op == 0 {
+                st.insert_pair(key, payload(key));
+                let at = model.partition_point(|&k| k < key);
+                model.insert(at, key);
+            } else {
+                let removed = st.remove_pair(key);
+                match model.binary_search(&key) {
+                    Ok(at) => {
+                        prop_assert_eq!(removed, Some(payload(key)));
+                        model.remove(at);
+                    }
+                    Err(_) => prop_assert_eq!(removed, None),
+                }
+            }
+            prop_assert_eq!(stored_keys(&st), model.clone());
+            for &k in &model {
+                prop_assert_eq!(st.search_all(k).result, Some(payload(k)));
+            }
+        }
+        st.refresh_pairs(pairs);
+        prop_assert_eq!(&st, &fresh);
+    }
 
     #[test]
     fn every_stored_key_is_found(

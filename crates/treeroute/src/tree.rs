@@ -64,7 +64,10 @@ pub struct Tree {
     /// Local index → graph node id. Index 0 is the root.
     nodes: Vec<NodeId>,
     parent: Vec<u32>,
-    children: Vec<Vec<u32>>,
+    /// Children in CSR form: the children of `i` are
+    /// `child[child_off[i]..child_off[i + 1]]`, ascending.
+    child_off: Vec<u32>,
+    child: Vec<u32>,
     weight_up: Vec<Dist>,
     subtree_size: Vec<u32>,
 }
@@ -103,7 +106,7 @@ impl Tree {
         const NO_PARENT: u32 = u32::MAX;
         let mut parent = vec![NO_PARENT; nodes.len()];
         let mut weight_up = vec![0 as Dist; nodes.len()];
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
+        let mut child_off = vec![0u32; nodes.len() + 1];
         for &(c, p, w) in &edges {
             if c == root {
                 return Err(TreeError::RootHasParent);
@@ -115,12 +118,24 @@ impl Tree {
             let pl = local_in(&nodes, p).expect("parent mentioned");
             parent[cl as usize] = pl;
             weight_up[cl as usize] = w;
-            children[pl as usize].push(cl);
+            child_off[pl as usize + 1] += 1;
         }
         parent[0] = 0;
-        for ch in &mut children {
-            ch.sort_unstable();
+        // Counting sort by parent: placing children in ascending local
+        // order leaves every run sorted.
+        for i in 1..child_off.len() {
+            child_off[i] += child_off[i - 1];
         }
+        let mut fill = child_off.clone();
+        let mut child = vec![0u32; edges.len()];
+        for (cl, &pl) in (0u32..).zip(&parent).skip(1) {
+            if pl != NO_PARENT {
+                child[fill[pl as usize] as usize] = cl;
+                fill[pl as usize] += 1;
+            }
+        }
+        let children =
+            |u: u32| &child[child_off[u as usize] as usize..child_off[u as usize + 1] as usize];
 
         // Verify reachability (tree-ness) and compute subtree sizes.
         let mut size = vec![0u32; nodes.len()];
@@ -130,7 +145,7 @@ impl Tree {
         seen[0] = true;
         while let Some(u) = stack.pop() {
             order.push(u);
-            for &c in &children[u as usize] {
+            for &c in children(u) {
                 if seen[c as usize] {
                     return Err(TreeError::NotATree { reachable: order.len(), total: nodes.len() });
                 }
@@ -142,11 +157,10 @@ impl Tree {
             return Err(TreeError::NotATree { reachable: order.len(), total: nodes.len() });
         }
         for &u in order.iter().rev() {
-            size[u as usize] =
-                1 + children[u as usize].iter().map(|&c| size[c as usize]).sum::<u32>();
+            size[u as usize] = 1 + children(u).iter().map(|&c| size[c as usize]).sum::<u32>();
         }
 
-        Ok(Tree { nodes, parent, children, weight_up, subtree_size: size })
+        Ok(Tree { nodes, parent, child_off, child, weight_up, subtree_size: size })
     }
 
     /// A single-node tree.
@@ -199,7 +213,7 @@ impl Tree {
     /// Children local indices, sorted by graph id.
     #[inline]
     pub fn children(&self, i: u32) -> &[u32] {
-        &self.children[i as usize]
+        &self.child[self.child_off[i as usize] as usize..self.child_off[i as usize + 1] as usize]
     }
 
     /// Weight of the edge from `i` to its parent (0 for the root).

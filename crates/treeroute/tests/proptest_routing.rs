@@ -24,8 +24,41 @@ fn arb_tree(max_n: usize) -> impl Strategy<Value = Tree> {
     })
 }
 
+/// Strategy: a random tree on `2..=max_n` nodes with scattered graph ids
+/// (the root not the smallest) and its edges in a rotated order.
+fn arb_scattered_tree(max_n: usize) -> impl Strategy<Value = Tree> {
+    (2usize..=max_n).prop_flat_map(move |n| {
+        (Just(n), proptest::collection::vec(0usize..usize::MAX, n - 1), 0usize..max_n).prop_map(
+            |(n, parents, rotate)| {
+                let id = |c: usize| ((c * 7919 + 5003) % 10007) as u32;
+                let mut edges: Vec<(u32, u32, u64)> =
+                    (1..n).map(|c| (id(c), id(parents[c - 1] % c), c as u64)).collect();
+                let len = edges.len();
+                edges.rotate_left(rotate % len);
+                Tree::new(id(0), edges).expect("parent structure is a tree")
+            },
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn children_are_the_sorted_inverse_of_parent(t in arb_scattered_tree(40)) {
+        let n = t.len() as u32;
+        let mut total = 0;
+        for u in 0..n {
+            let want: Vec<u32> = (1..n).filter(|&v| t.parent(v) == u).collect();
+            prop_assert_eq!(t.children(u), &want[..], "children of local {}", u);
+            prop_assert_eq!(
+                t.subtree_size(u),
+                1 + want.iter().map(|&c| t.subtree_size(c)).sum::<u32>()
+            );
+            total += want.len();
+        }
+        prop_assert_eq!(total, n as usize - 1);
+    }
 
     #[test]
     fn interval_router_routes_exact_tree_paths(t in arb_tree(40)) {
