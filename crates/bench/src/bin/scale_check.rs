@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use doubling_metric::{gen, Eps, MetricSpace};
 use name_independent::ScaleFreeNameIndependent;
-use netsim::stats::{eval_name_independent_par, sample_pairs};
-use netsim::{NameIndependentScheme, Naming};
+use netsim::stats::{eval_par, sample_pairs};
+use netsim::{ByName, NameIndependentScheme, Naming};
 
 fn main() {
     let cli = Cli::parse_env(3);
@@ -32,7 +32,7 @@ fn main() {
 
     let t2 = Instant::now();
     let pairs = sample_pairs(m.n(), 500, cli.seed ^ 0x5A);
-    let res = eval_name_independent_par(&s, &m, &naming, &pairs, 8);
+    let res = eval_par(&ByName(&s, &naming), &m, &pairs, 8);
     println!(
         "500 routes in {:.1?}: max stretch {:.2}, avg {:.2}, failures {}, max table {} b",
         t2.elapsed(),

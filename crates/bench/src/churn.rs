@@ -4,7 +4,7 @@
 //! measures each scheme twice:
 //!
 //! * **stale** — the scheme routes with the tables it built *before* the
-//!   failures (see [`netsim::scheme::LabeledScheme::route_with_faults`]);
+//!   failures (see [`netsim::scheme::Target::route_with_faults`]);
 //!   reported as reachability, surviving-route stretch, and a loss
 //!   breakdown ([`FaultEvalResult`]).
 //! * **rebuilt** — preprocessing is re-run from scratch on the largest
@@ -13,29 +13,27 @@
 //!   that component, and stretch is measured against the survivor metric.
 //!
 //! The gap between the two columns is the cost of *not* rebuilding; the
-//! `rebuild(ms)` column is the cost of rebuilding.
+//! `rebuild(ms)` column is the cost of rebuilding (pinned to 0 under
+//! `--stable`, so same-seed runs are byte-identical).
 
 use std::time::Instant;
 
+use doubling_metric::gen;
 use doubling_metric::graph::NodeId;
 use doubling_metric::nets::NetHierarchy;
-use doubling_metric::{gen, Eps, MetricSpace};
-use labeled_routing::{NetLabeled, ScaleFreeLabeled};
-use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
+use doubling_metric::Eps;
 use netsim::faults::{FaultPlan, FaultTimeline, SurvivingNetwork};
 use netsim::json::Value;
 use netsim::recovery::{RecoveryPolicy, ResilientRouter};
 use netsim::route::{Route, RouteError};
-use netsim::scheme::{LabeledScheme, NameIndependentScheme};
 use netsim::stats::{
-    eval_labeled_resilient_observed, eval_labeled_under_faults_observed,
-    eval_name_independent_resilient_observed, eval_name_independent_under_faults_observed,
-    sample_pairs, FaultEvalResult, RecoveryEvalResult,
+    eval_resilient, eval_under_faults, sample_pairs, FaultEvalResult, RecoveryEvalResult,
 };
 use netsim::Naming;
 use obs::{MetricsRegistry, Tracer};
 
 use crate::cache::MetricCache;
+use crate::suite::Built;
 use crate::table::f2;
 
 /// Event context identifying one (strategy, fraction, scheme) cell, so a
@@ -69,17 +67,24 @@ fn loss_kind(e: &RouteError) -> &'static str {
     }
 }
 
-/// Reachability and mean stretch after a full rebuild on the surviving
-/// component, over the same sampled pairs as the stale evaluation. Pairs
-/// that fall outside the surviving component are emitted as
-/// `"rebuilt-unreachable"` events when `ctx.tracer` is recording.
-fn rebuilt_on(
+/// Times `build` on the survivor metric (0 ms when `stable`), then
+/// returns `(reachability, mean stretch, rebuild ms)` over the same
+/// sampled pairs as the stale evaluation: reachability counts exactly the
+/// pairs that ended up in the surviving component. Pairs outside it are
+/// emitted as `"rebuilt-unreachable"` events when `ctx.tracer` is
+/// recording.
+fn rebuild_and_eval(
     sn: &SurvivingNetwork,
     plan: &FaultPlan,
     pairs: &[(NodeId, NodeId)],
     ctx: CellCtx<'_>,
-    mut route: impl FnMut(NodeId, NodeId) -> Route,
-) -> (f64, f64) {
+    stable: bool,
+    build: impl FnOnce() -> Built,
+) -> (f64, f64, f64) {
+    let t0 = Instant::now();
+    let scheme = build();
+    let ms = if stable { 0.0 } else { t0.elapsed().as_secs_f64() * 1e3 };
+    let target = scheme.target();
     let mut attempted = 0usize;
     let mut delivered = 0usize;
     let mut stretch_sum = 0.0f64;
@@ -89,7 +94,7 @@ fn rebuilt_on(
         }
         attempted += 1;
         if let (Some(nu), Some(nv)) = (sn.new_id(u), sn.new_id(v)) {
-            let r = route(nu, nv);
+            let r = target.route_to(&sn.metric, nu, nv).expect("delivers");
             r.verify(&sn.metric).expect("rebuilt route must verify");
             assert_eq!(r.dst, nv, "rebuilt route must reach the destination");
             delivered += 1;
@@ -100,7 +105,7 @@ fn rebuilt_on(
     }
     let reach = if attempted == 0 { 1.0 } else { delivered as f64 / attempted as f64 };
     let avg = if delivered == 0 { 1.0 } else { stretch_sum / delivered as f64 };
-    (reach, avg)
+    (reach, avg, ms)
 }
 
 /// One scheme's measurements in one (strategy, fraction) cell.
@@ -154,23 +159,6 @@ impl SchemeCell {
     }
 }
 
-/// Times `build` on the survivor metric, then evaluates it over `pairs`.
-fn rebuild_and_eval<S>(
-    sn: &SurvivingNetwork,
-    plan: &FaultPlan,
-    pairs: &[(NodeId, NodeId)],
-    ctx: CellCtx<'_>,
-    build: impl FnOnce(&MetricSpace) -> S,
-    route: impl Fn(&S, &MetricSpace, NodeId, NodeId) -> Route,
-) -> (f64, f64, f64) {
-    let t0 = Instant::now();
-    let scheme = build(&sn.metric);
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (reach, stretch) =
-        rebuilt_on(sn, plan, pairs, ctx, |u, v| route(&scheme, &sn.metric, u, v));
-    (reach, stretch, ms)
-}
-
 /// A per-pair observer emitting one `"stale-loss"` event (with the loss
 /// kind) for every pair the stale tables failed to deliver.
 fn stale_observer(ctx: CellCtx<'_>) -> impl FnMut(NodeId, NodeId, &Result<Route, RouteError>) + '_ {
@@ -210,6 +198,8 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// `registry` counts recovery interventions by kind
 /// ([`obs::eval::meter_recovery_event`]) — pass
 /// [`MetricsRegistry::disabled`] to opt out at one branch per event.
+/// `stable` (the `--stable` flag) pins the one volatile value, the
+/// rebuild wall time, to 0.
 #[allow(clippy::too_many_arguments)] // experiment entry point: one knob per CLI flag
 pub fn run_churn(
     cache: &MetricCache,
@@ -221,6 +211,7 @@ pub fn run_churn(
     tracer: &Tracer,
     registry: &MetricsRegistry,
     policy: Option<&RecoveryPolicy>,
+    stable: bool,
 ) -> (Vec<&'static str>, Vec<Vec<String>>, Value) {
     let m = cache.family_traced(gen::Family::Grid, n, seed, tracer);
     let g = m.graph();
@@ -229,10 +220,7 @@ pub fn run_churn(
     let nets = NetHierarchy::new(&m);
 
     // Pre-failure ("stale") tables, built once on the intact network.
-    let nl = NetLabeled::new(&m, eps).expect("eps within range");
-    let sfl = ScaleFreeLabeled::new(&m, eps).expect("eps within range");
-    let sni = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-    let sfni = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
+    let stale = Built::all(&m, eps, &naming);
 
     let mut headers = vec![
         "strategy",
@@ -261,151 +249,36 @@ pub fn run_churn(
             let naming2 = sn.as_ref().map(|sn| Naming::random(sn.n(), seed ^ 0xA5));
             let timeline = policy.map(|_| FaultTimeline::from_plan(plan.clone()));
 
-            let ctx = |scheme: &'static str| CellCtx { tracer, strategy, fraction, scheme };
-            // Resilient delivery of the same pairs, when --policy asked
-            // for it; recovery decisions become trace events.
-            let scheme_cells = vec![
-                SchemeCell {
-                    stale: eval_labeled_under_faults_observed(
-                        &nl,
-                        &m,
-                        &plan,
-                        &pairs,
-                        stale_observer(ctx(nl.scheme_name())),
-                    ),
-                    rebuilt: sn.as_ref().map(|sn| {
-                        rebuild_and_eval(
-                            sn,
-                            &plan,
-                            &pairs,
-                            ctx(nl.scheme_name()),
-                            |m2| NetLabeled::new(m2, eps).expect("eps within range"),
-                            |s, m2, u, v| s.route_to_node(m2, u, v).expect("delivers"),
-                        )
-                    }),
+            let mut scheme_cells = Vec::with_capacity(stale.len());
+            for (i, built) in stale.iter().enumerate() {
+                let target = built.target();
+                let ctx = CellCtx { tracer, strategy, fraction, scheme: target.scheme_name() };
+                let rebuild = |sn: &SurvivingNetwork| {
+                    let nm = naming2.as_ref().expect("a survivor naming exists");
+                    Built::build(i, &sn.metric, eps, nm, &Tracer::noop())
+                };
+                scheme_cells.push(SchemeCell {
+                    stale: eval_under_faults(&*target, &m, &plan, &pairs, stale_observer(ctx)),
+                    rebuilt: sn
+                        .as_ref()
+                        .map(|sn| rebuild_and_eval(sn, &plan, &pairs, ctx, stable, || rebuild(sn))),
+                    // Resilient delivery of the same pairs, when --policy
+                    // asked for it; recovery decisions become trace events.
                     recovery: policy.map(|p| {
-                        let c = ctx(nl.scheme_name());
-                        eval_labeled_resilient_observed(
-                            &ResilientRouter::new(&m, &nl, p.clone()),
-                            timeline.as_ref().unwrap(),
+                        eval_resilient(
+                            &ResilientRouter::new(&m, built.hierarchy(), p.clone()),
+                            &*target,
+                            timeline.as_ref().expect("a timeline exists under --policy"),
                             &pairs,
                             |u, v, ev| {
-                                obs::eval::trace_recovery_event(tracer, || c.fields(u, v), ev);
+                                obs::eval::trace_recovery_event(tracer, || ctx.fields(u, v), ev);
                                 obs::eval::meter_recovery_event(registry, ev);
                             },
                             |_, _, _| {},
                         )
                     }),
-                },
-                SchemeCell {
-                    stale: eval_labeled_under_faults_observed(
-                        &sfl,
-                        &m,
-                        &plan,
-                        &pairs,
-                        stale_observer(ctx(sfl.scheme_name())),
-                    ),
-                    rebuilt: sn.as_ref().map(|sn| {
-                        rebuild_and_eval(
-                            sn,
-                            &plan,
-                            &pairs,
-                            ctx(sfl.scheme_name()),
-                            |m2| ScaleFreeLabeled::new(m2, eps).expect("eps within range"),
-                            |s, m2, u, v| s.route_to_node(m2, u, v).expect("delivers"),
-                        )
-                    }),
-                    recovery: policy.map(|p| {
-                        let c = ctx(sfl.scheme_name());
-                        eval_labeled_resilient_observed(
-                            &ResilientRouter::new(&m, &sfl, p.clone()),
-                            timeline.as_ref().unwrap(),
-                            &pairs,
-                            |u, v, ev| {
-                                obs::eval::trace_recovery_event(tracer, || c.fields(u, v), ev);
-                                obs::eval::meter_recovery_event(registry, ev);
-                            },
-                            |_, _, _| {},
-                        )
-                    }),
-                },
-                SchemeCell {
-                    stale: eval_name_independent_under_faults_observed(
-                        &sni,
-                        &m,
-                        &naming,
-                        &plan,
-                        &pairs,
-                        stale_observer(ctx(sni.scheme_name())),
-                    ),
-                    rebuilt: sn.as_ref().map(|sn| {
-                        let nm = naming2.as_ref().unwrap();
-                        rebuild_and_eval(
-                            sn,
-                            &plan,
-                            &pairs,
-                            ctx(sni.scheme_name()),
-                            |m2| {
-                                SimpleNameIndependent::new(m2, eps, nm.clone())
-                                    .expect("eps within range")
-                            },
-                            |s, m2, u, v| s.route(m2, u, nm.name_of(v)).expect("delivers"),
-                        )
-                    }),
-                    recovery: policy.map(|p| {
-                        let c = ctx(sni.scheme_name());
-                        eval_name_independent_resilient_observed(
-                            &ResilientRouter::new(&m, &sni, p.clone()),
-                            &naming,
-                            timeline.as_ref().unwrap(),
-                            &pairs,
-                            |u, v, ev| {
-                                obs::eval::trace_recovery_event(tracer, || c.fields(u, v), ev);
-                                obs::eval::meter_recovery_event(registry, ev);
-                            },
-                            |_, _, _| {},
-                        )
-                    }),
-                },
-                SchemeCell {
-                    stale: eval_name_independent_under_faults_observed(
-                        &sfni,
-                        &m,
-                        &naming,
-                        &plan,
-                        &pairs,
-                        stale_observer(ctx(sfni.scheme_name())),
-                    ),
-                    rebuilt: sn.as_ref().map(|sn| {
-                        let nm = naming2.as_ref().unwrap();
-                        rebuild_and_eval(
-                            sn,
-                            &plan,
-                            &pairs,
-                            ctx(sfni.scheme_name()),
-                            |m2| {
-                                ScaleFreeNameIndependent::new(m2, eps, nm.clone())
-                                    .expect("eps within range")
-                            },
-                            |s, m2, u, v| s.route(m2, u, nm.name_of(v)).expect("delivers"),
-                        )
-                    }),
-                    recovery: policy.map(|p| {
-                        let c = ctx(sfni.scheme_name());
-                        eval_name_independent_resilient_observed(
-                            &ResilientRouter::new(&m, &sfni, p.clone()),
-                            &naming,
-                            timeline.as_ref().unwrap(),
-                            &pairs,
-                            |u, v, ev| {
-                                obs::eval::trace_recovery_event(tracer, || c.fields(u, v), ev);
-                                obs::eval::meter_recovery_event(registry, ev);
-                            },
-                            |_, _, _| {},
-                        )
-                    }),
-                },
-            ];
+                });
+            }
 
             for c in &scheme_cells {
                 rows.push(c.row(strategy, fraction));
@@ -476,7 +349,8 @@ pub fn worst_delivery(doc: &Value) -> f64 {
 ///
 /// Usage: `churn [n] [1/eps] [pairs] [--seed N] [--trace]
 /// [--chrome-trace PATH] [--json] [--threads N] [--policy P]
-/// [--min-delivery F]`. With `--policy`, each cell also delivers the
+/// [--min-delivery F] [--stable]`. With `--stable`, the rebuild wall
+/// times are pinned to 0 so same-seed runs are byte-identical. With `--policy`, each cell also delivers the
 /// pairs through a [`ResilientRouter`] applying `P` (see [`run_churn`]).
 /// With `--min-delivery F`, the process exits non-zero when
 /// [`worst_delivery`] of the run falls below `F` — the artifacts are
@@ -500,6 +374,7 @@ pub fn churn_main() {
         &tracer,
         &registry,
         cli.policy.as_ref(),
+        cli.stable,
     );
     crate::table::emit(
         &format!("Churn: reachability under node removal (n≈{n}, eps=1/{inv}, {pairs} pairs)"),
@@ -559,6 +434,7 @@ mod tests {
             &tracer,
             &MetricsRegistry::disabled(),
             None,
+            false,
         );
         // One base metric build, no rebuild through the cache.
         assert_eq!(cache.stats().builds, 1);
@@ -668,6 +544,7 @@ mod tests {
             &tracer,
             &registry,
             Some(&policy),
+            false,
         );
         assert_eq!(*h.last().unwrap(), "policy-reach");
         assert!(rows.iter().all(|r| r.len() == h.len()));
@@ -737,6 +614,35 @@ mod tests {
     }
 
     #[test]
+    fn churn_stable_pins_rebuild_time_and_is_byte_identical() {
+        let run = || {
+            let cache = MetricCache::new(1);
+            let (_, rows, doc) = run_churn(
+                &cache,
+                36,
+                Eps::one_over(8),
+                60,
+                &[0.1],
+                7,
+                &Tracer::noop(),
+                &MetricsRegistry::disabled(),
+                None,
+                true,
+            );
+            (rows, doc.to_string_pretty())
+        };
+        let (rows, doc) = run();
+        assert_eq!(run().1, doc, "--stable runs must be byte-identical");
+        assert!(rows.iter().all(|r| r[7] == "0.00"), "rebuild(ms) column must be pinned");
+        let doc = Value::parse(&doc).unwrap();
+        for cell in doc.get("cells").and_then(Value::as_array).unwrap() {
+            for s in cell.get("schemes").and_then(Value::as_array).unwrap() {
+                assert_eq!(s.get("rebuild_ms").and_then(Value::as_f64), Some(0.0));
+            }
+        }
+    }
+
+    #[test]
     fn churn_without_policy_is_byte_identical_to_legacy() {
         // The --policy flag must not disturb existing output: no header,
         // no JSON field, same documents as before the flag existed.
@@ -752,6 +658,7 @@ mod tests {
             &Tracer::noop(),
             &MetricsRegistry::disabled(),
             None,
+            false,
         );
         assert_eq!(h.len(), 8);
         assert!(doc.get("policy").is_none());

@@ -6,19 +6,18 @@
 //! binary that runs several experiments over the same `(family, n, seed)`
 //! builds each `Θ(n²)` metric exactly once.
 
-use doubling_metric::{doubling, gen, Eps};
+use doubling_metric::graph::NodeId;
+use doubling_metric::{doubling, gen, Eps, MetricSpace};
 use labeled_routing::{NetLabeled, ScaleFreeLabeled};
 use lowerbound::{game, LbParams, LowerBoundTree};
 use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::baseline::FullTable;
-use netsim::scheme::{LabeledScheme, NameIndependentScheme};
-use netsim::stats::{
-    eval_labeled, eval_name_independent, sample_pairs, sampled_stretch_labeled,
-    sampled_stretch_name_independent, EvalResult,
-};
+use netsim::scheme::{ByLabel, ByName, LabeledScheme, NameIndependentScheme, Target};
+use netsim::stats::{eval, sample_pairs, sampled_stretch, EvalResult, StretchQuantiles};
 use netsim::Naming;
 
 use crate::cache::MetricCache;
+use crate::suite::Built;
 use crate::table::f2;
 
 /// Result-row helper: one evaluated scheme on one graph.
@@ -43,6 +42,23 @@ fn eval_row(family: &str, n: usize, res: &EvalResult, label_bits: Option<u64>) -
         // A sub-1 stretch means the recorder under-charged a route — a
         // harness bug worth shouting about, never silently clamped.
         row.push(format!("UNDERSTRETCH={}", res.understretch));
+    }
+    row
+}
+
+/// One Table 1/2 row: `target` evaluated over `pairs`, plus the 95% CI
+/// half-width of the sampled mean stretch when `with_ci`.
+fn table_row(
+    family: &str,
+    m: &MetricSpace,
+    target: &dyn Target,
+    label_bits: Option<u64>,
+    pairs: &[(NodeId, NodeId)],
+    with_ci: bool,
+) -> Vec<String> {
+    let mut row = eval_row(family, m.n(), &eval(target, m, pairs, |_, _, _| {}), label_bits);
+    if with_ci {
+        row.push(f2(sampled_stretch(target, m, m, pairs, |_, _, _| {}).ci_half_width));
     }
     row
 }
@@ -106,31 +122,14 @@ fn run_table1_with_wall(
         let m = cache.family(f, n, seed);
         let naming = Naming::random(m.n(), seed ^ 0xA5);
         let pairs = sample_pairs(m.n(), pairs_per_graph, seed ^ 0x5A);
-        let mut push = |row: Vec<String>, ss: Option<netsim::stats::SampledStretch>| {
-            let mut row = row;
-            if let Some(ss) = ss {
-                row.push(f2(ss.ci_half_width));
-            }
-            rows.push(row);
-        };
-
         let simple = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-        push(
-            eval_row(f.name(), m.n(), &eval_name_independent(&simple, &m, &naming, &pairs), None),
-            with_ci.then(|| sampled_stretch_name_independent(&simple, &m, &naming, &*m, &pairs)),
-        );
-
         let sf = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-        push(
-            eval_row(f.name(), m.n(), &eval_name_independent(&sf, &m, &naming, &pairs), None),
-            with_ci.then(|| sampled_stretch_name_independent(&sf, &m, &naming, &*m, &pairs)),
-        );
-
         let full = FullTable::with_naming(&m, naming.clone());
-        push(
-            eval_row(f.name(), m.n(), &eval_name_independent(&full, &m, &naming, &pairs), None),
-            with_ci.then(|| sampled_stretch_name_independent(&full, &m, &naming, &*m, &pairs)),
-        );
+        let targets: [&dyn Target; 3] =
+            [&ByName(&simple, &naming), &ByName(&sf, &naming), &ByName(&full, &naming)];
+        for target in targets {
+            rows.push(table_row(f.name(), &m, target, None, &pairs, with_ci));
+        }
     }
     (headers, rows)
 }
@@ -175,36 +174,17 @@ fn run_table2_with_wall(
     for f in table_families() {
         let m = cache.family(f, n, seed);
         let pairs = sample_pairs(m.n(), pairs_per_graph, seed ^ 0x5A);
-        let mut push = |row: Vec<String>, ss: Option<netsim::stats::SampledStretch>| {
-            let mut row = row;
-            if let Some(ss) = ss {
-                row.push(f2(ss.ci_half_width));
-            }
-            rows.push(row);
-        };
-
         let nl = NetLabeled::new(&m, eps).expect("eps within range");
-        push(
-            eval_row(f.name(), m.n(), &eval_labeled(&nl, &m, &pairs), Some(nl.label_bits())),
-            with_ci.then(|| sampled_stretch_labeled(&nl, &m, &*m, &pairs)),
-        );
-
         let sf = ScaleFreeLabeled::new(&m, eps).expect("eps within range");
-        push(
-            eval_row(f.name(), m.n(), &eval_labeled(&sf, &m, &pairs), Some(sf.label_bits())),
-            with_ci.then(|| sampled_stretch_labeled(&sf, &m, &*m, &pairs)),
-        );
-
         let full = FullTable::new(&m);
-        push(
-            eval_row(
-                f.name(),
-                m.n(),
-                &eval_labeled(&full, &m, &pairs),
-                Some(LabeledScheme::label_bits(&full)),
-            ),
-            with_ci.then(|| sampled_stretch_labeled(&full, &m, &*m, &pairs)),
-        );
+        let targets: [(&dyn Target, u64); 3] = [
+            (&ByLabel(&nl), nl.label_bits()),
+            (&ByLabel(&sf), sf.label_bits()),
+            (&ByLabel(&full), LabeledScheme::label_bits(&full)),
+        ];
+        for (target, label_bits) in targets {
+            rows.push(table_row(f.name(), &m, target, Some(label_bits), &pairs, with_ci));
+        }
     }
     (headers, rows)
 }
@@ -421,44 +401,17 @@ pub fn run_sweep_eps(
     let mut rows = Vec::new();
     for k in [4u64, 8, 16, 32] {
         let eps = Eps::one_over(k);
-        let nl = NetLabeled::new(&m, eps).expect("eps ok");
-        let r = eval_labeled(&nl, &m, &pairs);
-        rows.push(vec![
-            eps.to_string(),
-            r.scheme.into(),
-            f2(r.max_stretch),
-            f2(r.avg_stretch),
-            "1+O(eps)".into(),
-        ]);
-        if k >= 4 {
-            let sf = ScaleFreeLabeled::new(&m, eps).expect("eps ok");
-            let r = eval_labeled(&sf, &m, &pairs);
+        for scheme in &Built::all(&m, eps, &naming) {
+            let r = eval(&*scheme.target(), &m, &pairs, |_, _, _| {});
+            let bound = if scheme.label_bits().is_some() { "1+O(eps)" } else { "9+O(eps)" };
             rows.push(vec![
                 eps.to_string(),
                 r.scheme.into(),
                 f2(r.max_stretch),
                 f2(r.avg_stretch),
-                "1+O(eps)".into(),
+                bound.into(),
             ]);
         }
-        let si = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps ok");
-        let r = eval_name_independent(&si, &m, &naming, &pairs);
-        rows.push(vec![
-            eps.to_string(),
-            r.scheme.into(),
-            f2(r.max_stretch),
-            f2(r.avg_stretch),
-            "9+O(eps)".into(),
-        ]);
-        let sfni = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps ok");
-        let r = eval_name_independent(&sfni, &m, &naming, &pairs);
-        rows.push(vec![
-            eps.to_string(),
-            r.scheme.into(),
-            f2(r.max_stretch),
-            f2(r.avg_stretch),
-            "9+O(eps)".into(),
-        ]);
     }
     (headers, rows)
 }
@@ -527,8 +480,8 @@ pub fn run_ablation_rings(cache: &MetricCache, seed: u64) -> (Vec<&'static str>,
         let pairs = sample_pairs(m.n(), 300, seed);
         let nl = NetLabeled::new(&m, eps).expect("eps ok");
         let sf = ScaleFreeLabeled::new(&m, eps).expect("eps ok");
-        let rn = eval_labeled(&nl, &m, &pairs);
-        let rs = eval_labeled(&sf, &m, &pairs);
+        let rn = eval(&ByLabel(&nl), &m, &pairs, |_, _, _| {});
+        let rs = eval(&ByLabel(&sf), &m, &pairs, |_, _, _| {});
         let ring_counts: Vec<usize> = (0..m.n() as u32).map(|u| sf.ring_levels(u).len()).collect();
         rows.push(vec![
             name.to_string(),
@@ -621,7 +574,6 @@ pub fn run_relaxed(
     n: usize,
     seed: u64,
 ) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    use netsim::stats::{stretch_samples_ni, StretchQuantiles};
     let headers = vec!["family", "scheme", "eps", "p50", "p90", "p99", "max"];
     let mut rows = Vec::new();
     for f in [gen::Family::Grid, gen::Family::Geometric] {
@@ -631,27 +583,25 @@ pub fn run_relaxed(
         for inv in [4u64, 8] {
             let eps = Eps::one_over(inv);
             let si = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps ok");
-            let q = StretchQuantiles::from_stretches(&stretch_samples_ni(&si, &m, &naming, &pairs));
-            rows.push(vec![
-                f.name().into(),
-                "simple-NI".into(),
-                eps.to_string(),
-                f2(q.p50),
-                f2(q.p90),
-                f2(q.p99),
-                f2(q.max),
-            ]);
             let sf = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps ok");
-            let q = StretchQuantiles::from_stretches(&stretch_samples_ni(&sf, &m, &naming, &pairs));
-            rows.push(vec![
-                f.name().into(),
-                "scale-free-NI".into(),
-                eps.to_string(),
-                f2(q.p50),
-                f2(q.p90),
-                f2(q.p99),
-                f2(q.max),
-            ]);
+            let targets: [(&str, &dyn Target); 2] =
+                [("simple-NI", &ByName(&si, &naming)), ("scale-free-NI", &ByName(&sf, &naming))];
+            for (name, target) in targets {
+                let mut stretches = Vec::with_capacity(pairs.len());
+                eval(target, &m, &pairs, |_, _, r| {
+                    stretches.push(r.as_ref().expect("route must deliver").stretch(&m))
+                });
+                let q = StretchQuantiles::from_stretches(&stretches);
+                rows.push(vec![
+                    f.name().into(),
+                    name.into(),
+                    eps.to_string(),
+                    f2(q.p50),
+                    f2(q.p90),
+                    f2(q.p99),
+                    f2(q.max),
+                ]);
+            }
         }
     }
     (headers, rows)

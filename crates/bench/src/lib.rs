@@ -41,6 +41,7 @@ pub mod recovery;
 pub mod report;
 pub mod scale;
 pub mod serve;
+pub mod suite;
 pub mod table;
 
 pub use cache::MetricCache;

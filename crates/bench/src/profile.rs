@@ -10,10 +10,9 @@
 //! 2. folds the trace into a [`PhaseBreakdown`] (per-phase wall time and
 //!    allocation delta; allocation is nonzero only under the binaries'
 //!    [`obs::alloc::CountingAlloc`] global allocator);
-//! 3. routes a pair sample through
-//!    [`obs::eval::eval_labeled_telemetered`] /
-//!    [`obs::eval::eval_name_independent_telemetered`] with the *no-op*
-//!    tracer, collecting [`RouteMetrics`] (cost / hop / header-bit
+//! 3. routes a pair sample through [`netsim::stats::eval`] with an
+//!    [`obs::eval::route_observer`] over the *no-op* tracer, collecting
+//!    [`RouteMetrics`] (cost / hop / header-bit
 //!    histograms, per-level search-tree lookups, under-stretch counter)
 //!    per entry, plus run-wide [`obs::MetricsRegistry`] counters and a
 //!    [`obs::FlightRecorder`] ring that dumps
@@ -29,16 +28,15 @@
 use std::time::Instant;
 
 use doubling_metric::Eps;
-use labeled_routing::{NetLabeled, ScaleFreeLabeled};
-use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::json::Value;
-use netsim::stats::{sample_pairs, EvalResult};
+use netsim::stats::{eval, sample_pairs, EvalResult};
 use netsim::Naming;
-use obs::eval::{eval_labeled_telemetered, eval_name_independent_telemetered};
+use obs::eval::route_observer;
 use obs::{FlightRecorder, MetricsRegistry, PhaseBreakdown, RouteMetrics, TraceLog, Tracer};
 
 use crate::cache::MetricCache;
 use crate::experiments::table_families;
+use crate::suite::{Built, SCHEMES};
 use crate::table::f2;
 
 /// Version of the `results/profile.json` document layout.
@@ -158,87 +156,26 @@ pub fn run_profile(
     let mut flight = FlightRecorder::new(obs::flight::DEFAULT_CAPACITY);
 
     for f in table_families() {
-        // Every closure fetches the metric through the cache *inside* the
+        // Every scheme fetches the metric through the cache *inside* the
         // traced region: the first one records the metric-build span, the
         // other three record metric-cache-hit events. Naming and pair
-        // samples are seeded, so recomputing them per closure is free
+        // samples are seeded, so recomputing them per scheme is free
         // determinism (and they need `m.n()`, which only the metric knows).
-        let pairs_for =
-            |m: &doubling_metric::MetricSpace| sample_pairs(m.n(), pairs_count, seed ^ 0x5A);
-        profile_one(f.name(), &mut report, &mut entries, |tracer| {
-            let t0 = Instant::now();
-            let m = cache.family_traced(f, n, seed, tracer);
-            let s = NetLabeled::new_traced(&m, eps, tracer).expect("eps within range");
-            let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let mut rm = RouteMetrics::new();
-            let res = eval_labeled_telemetered(
-                &s,
-                &m,
-                &pairs_for(&m),
-                &Tracer::noop(),
-                &mut rm,
-                &registry,
-                &mut flight,
-            );
-            (build_ms, res, rm)
-        });
-        profile_one(f.name(), &mut report, &mut entries, |tracer| {
-            let t0 = Instant::now();
-            let m = cache.family_traced(f, n, seed, tracer);
-            let s = ScaleFreeLabeled::new_traced(&m, eps, tracer).expect("eps within range");
-            let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let mut rm = RouteMetrics::new();
-            let res = eval_labeled_telemetered(
-                &s,
-                &m,
-                &pairs_for(&m),
-                &Tracer::noop(),
-                &mut rm,
-                &registry,
-                &mut flight,
-            );
-            (build_ms, res, rm)
-        });
-        profile_one(f.name(), &mut report, &mut entries, |tracer| {
-            let t0 = Instant::now();
-            let m = cache.family_traced(f, n, seed, tracer);
-            let naming = Naming::random(m.n(), seed ^ 0xA5);
-            let s = SimpleNameIndependent::new_traced(&m, eps, naming.clone(), tracer)
-                .expect("eps within range");
-            let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let mut rm = RouteMetrics::new();
-            let res = eval_name_independent_telemetered(
-                &s,
-                &m,
-                &naming,
-                &pairs_for(&m),
-                &Tracer::noop(),
-                &mut rm,
-                &registry,
-                &mut flight,
-            );
-            (build_ms, res, rm)
-        });
-        profile_one(f.name(), &mut report, &mut entries, |tracer| {
-            let t0 = Instant::now();
-            let m = cache.family_traced(f, n, seed, tracer);
-            let naming = Naming::random(m.n(), seed ^ 0xA5);
-            let s = ScaleFreeNameIndependent::new_traced(&m, eps, naming.clone(), tracer)
-                .expect("eps within range");
-            let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let mut rm = RouteMetrics::new();
-            let res = eval_name_independent_telemetered(
-                &s,
-                &m,
-                &naming,
-                &pairs_for(&m),
-                &Tracer::noop(),
-                &mut rm,
-                &registry,
-                &mut flight,
-            );
-            (build_ms, res, rm)
-        });
+        for i in 0..SCHEMES {
+            profile_one(f.name(), &mut report, &mut entries, |tracer| {
+                let t0 = Instant::now();
+                let m = cache.family_traced(f, n, seed, tracer);
+                let naming = Naming::random(m.n(), seed ^ 0xA5);
+                let s = Built::build(i, &m, eps, &naming, tracer);
+                let build_ms = t0.elapsed().as_secs_f64() * 1e3;
+                let mut rm = RouteMetrics::new();
+                let pairs = sample_pairs(m.n(), pairs_count, seed ^ 0x5A);
+                let noop = Tracer::noop();
+                let observer = route_observer(&m, &noop, &mut rm, &registry, &mut flight);
+                let res = eval(&*s.target(), &m, &pairs, observer);
+                (build_ms, res, rm)
+            });
+        }
     }
 
     let stats = cache.stats();

@@ -30,20 +30,15 @@
 
 use doubling_metric::graph::NodeId;
 use doubling_metric::{gen, Eps, MetricSpace};
-use labeled_routing::{NetLabeled, ScaleFreeLabeled};
-use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::faults::{FaultPlan, FaultTimeline};
 use netsim::json::Value;
 use netsim::recovery::{greedy_chaos, DeliveryOutcome, RecoveryPolicy, ResilientRouter};
-use netsim::scheme::{LabeledScheme, NameIndependentScheme};
-use netsim::stats::{
-    eval_labeled_resilient_observed, eval_name_independent_resilient_observed, sample_pairs,
-    RecoveryEvalResult,
-};
+use netsim::stats::{eval_resilient, sample_pairs, RecoveryEvalResult};
 use netsim::Naming;
 use obs::{FlightRecorder, Log2Histogram, MetricsRegistry, Tracer};
 
 use crate::cache::MetricCache;
+use crate::suite::Built;
 use crate::table::f2;
 
 /// The policy grid every strategy × scheme cell is measured under.
@@ -201,10 +196,7 @@ pub fn run_recovery(
     let pairs = sample_pairs(m.n(), pairs_count, seed ^ 0x5A);
     let policies = policy_grid();
 
-    let nl = NetLabeled::new(&m, eps).expect("eps within range");
-    let sfl = ScaleFreeLabeled::new(&m, eps).expect("eps within range");
-    let sni = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-    let sfni = ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
+    let schemes = Built::all(&m, eps, &naming);
 
     // The random strategy is dynamic: half the casualties are live at
     // departure, the rest land after `hops_per_epoch` hops. random_nodes
@@ -248,88 +240,19 @@ pub fn run_recovery(
         for policy in &policies {
             // One cell per scheme: identical pairs, identical timeline,
             // only the delivery policy varies.
-            let mut cells = Vec::new();
-            {
+            let mut cells = Vec::with_capacity(schemes.len());
+            for built in &schemes {
+                let target = built.target();
                 let mut h = CellHists::new();
-                let eval = eval_labeled_resilient_observed(
-                    &ResilientRouter::new(&m, &nl, policy.clone()),
+                let eval = eval_resilient(
+                    &ResilientRouter::new(&m, built.hierarchy(), policy.clone()),
+                    &*target,
                     timeline,
                     &pairs,
                     |u, v, ev| {
                         obs::eval::trace_recovery_event(
                             tracer,
-                            || event_fields(strategy, policy, nl.scheme_name(), u, v),
-                            ev,
-                        );
-                        obs::eval::meter_recovery_event(registry, ev);
-                        ring.borrow_mut().note_recovery(ev);
-                    },
-                    |u, v, o| {
-                        h.observe(o);
-                        meter_outcome(registry, o);
-                        ring.borrow_mut().record_outcome(u, v, o);
-                    },
-                );
-                cells.push(Cell { eval, hists: h });
-            }
-            {
-                let mut h = CellHists::new();
-                let eval = eval_labeled_resilient_observed(
-                    &ResilientRouter::new(&m, &sfl, policy.clone()),
-                    timeline,
-                    &pairs,
-                    |u, v, ev| {
-                        obs::eval::trace_recovery_event(
-                            tracer,
-                            || event_fields(strategy, policy, sfl.scheme_name(), u, v),
-                            ev,
-                        );
-                        obs::eval::meter_recovery_event(registry, ev);
-                        ring.borrow_mut().note_recovery(ev);
-                    },
-                    |u, v, o| {
-                        h.observe(o);
-                        meter_outcome(registry, o);
-                        ring.borrow_mut().record_outcome(u, v, o);
-                    },
-                );
-                cells.push(Cell { eval, hists: h });
-            }
-            {
-                let mut h = CellHists::new();
-                let eval = eval_name_independent_resilient_observed(
-                    &ResilientRouter::new(&m, &sni, policy.clone()),
-                    &naming,
-                    timeline,
-                    &pairs,
-                    |u, v, ev| {
-                        obs::eval::trace_recovery_event(
-                            tracer,
-                            || event_fields(strategy, policy, sni.scheme_name(), u, v),
-                            ev,
-                        );
-                        obs::eval::meter_recovery_event(registry, ev);
-                        ring.borrow_mut().note_recovery(ev);
-                    },
-                    |u, v, o| {
-                        h.observe(o);
-                        meter_outcome(registry, o);
-                        ring.borrow_mut().record_outcome(u, v, o);
-                    },
-                );
-                cells.push(Cell { eval, hists: h });
-            }
-            {
-                let mut h = CellHists::new();
-                let eval = eval_name_independent_resilient_observed(
-                    &ResilientRouter::new(&m, &sfni, policy.clone()),
-                    &naming,
-                    timeline,
-                    &pairs,
-                    |u, v, ev| {
-                        obs::eval::trace_recovery_event(
-                            tracer,
-                            || event_fields(strategy, policy, sfni.scheme_name(), u, v),
+                            || event_fields(strategy, policy, target.scheme_name(), u, v),
                             ev,
                         );
                         obs::eval::meter_recovery_event(registry, ev);
@@ -370,15 +293,19 @@ pub fn run_recovery(
     let chaos_pairs = sample_pairs(m.n(), pairs_count.min(80), seed ^ 0x7C);
     let chaos_candidates = top_degree_candidates(&m, 16);
     let chaos_budget = 5;
+    let nl = &schemes[0];
+    let nl_target = nl.target();
     let mut chaos_docs = Vec::new();
     for policy in &policies {
         let outcome = greedy_chaos(m.n(), &chaos_candidates, chaos_budget, |plan| {
             let tl = FaultTimeline::from_plan(plan.clone());
-            let router = ResilientRouter::new(&m, &nl, policy.clone());
+            let router = ResilientRouter::new(&m, nl.hierarchy(), policy.clone());
             chaos_pairs
                 .iter()
                 .filter(|&&(u, v)| !plan.is_node_dead(u) && !plan.is_node_dead(v))
-                .filter(|&&(u, v)| !router.deliver(u, v, &tl, &mut |_| {}).is_delivered())
+                .filter(|&&(u, v)| {
+                    !router.deliver(&*nl_target, u, v, &tl, &mut |_| {}).is_delivered()
+                })
                 .count()
         });
         tracer.event_lazy("chaos-campaign", || {
@@ -427,7 +354,7 @@ pub fn run_recovery(
         (
             "chaos".into(),
             Value::Object(vec![
-                ("probe_scheme".into(), nl.scheme_name().into()),
+                ("probe_scheme".into(), nl_target.scheme_name().into()),
                 ("candidates".into(), chaos_candidates.len().into()),
                 ("budget".into(), chaos_budget.into()),
                 ("campaigns".into(), Value::Array(chaos_docs)),

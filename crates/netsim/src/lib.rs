@@ -60,4 +60,6 @@ pub use recovery::{
     DeliveryOutcome, FallbackHierarchy, LossReason, RecoveryEvent, RecoveryPolicy, ResilientRouter,
 };
 pub use route::{Route, RouteError, RouteRecorder, Segment};
-pub use scheme::{Certifiable, Label, LabeledScheme, Name, NameIndependentScheme};
+pub use scheme::{
+    ByLabel, ByName, Certifiable, Label, LabeledScheme, Name, NameIndependentScheme, Target,
+};

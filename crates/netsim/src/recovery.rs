@@ -5,12 +5,13 @@
 //! precomputed route either avoids every casualty or the packet is
 //! dropped at the first dead element. Real deployments — and the
 //! dynamic-doubling line of work the paper cites — *recover* in flight.
-//! This module drives any [`LabeledScheme`] / [`NameIndependentScheme`]
+//! This module drives any scheme, through its [`Target`] ingress,
 //! one hop at a time against a [`FaultTimeline`] and, on hitting a dead
 //! node or edge, applies a [`RecoveryPolicy`]:
 //!
 //! * [`RecoveryPolicy::Drop`] — the baseline: give up at the first
-//!   casualty, reproducing `route_with_faults` semantics exactly.
+//!   casualty, reproducing [`Target::route_with_faults`] semantics
+//!   exactly.
 //! * [`RecoveryPolicy::LocalDetour`] — breadth-first search of the
 //!   surviving graph around the casualty, bounded by a TTL, re-entering
 //!   the scheme's planned route at the furthest reachable planned hop.
@@ -51,15 +52,15 @@
 //! use netsim::baseline::FullTable;
 //! use netsim::faults::{FaultPlan, FaultTimeline};
 //! use netsim::recovery::{DeliveryOutcome, RecoveryPolicy, ResilientRouter};
+//! use netsim::scheme::ByLabel;
 //!
 //! let m = MetricSpace::new(&gen::grid(4, 4));
 //! let scheme = FullTable::new(&m);
 //! let mut plan = FaultPlan::none(m.n());
 //! plan.kill_node(5);
 //! let timeline = FaultTimeline::from_plan(plan);
-//! let router =
-//!     ResilientRouter::without_hierarchy(&m, &scheme, RecoveryPolicy::LocalDetour { ttl: 4 });
-//! let outcome = router.deliver(0, 10, &timeline, &mut |_| {});
+//! let router = ResilientRouter::without_hierarchy(&m, RecoveryPolicy::LocalDetour { ttl: 4 });
+//! let outcome = router.deliver(&ByLabel(&scheme), 0, 10, &timeline, &mut |_| {});
 //! assert!(matches!(outcome, DeliveryOutcome::Delivered { .. }));
 //! ```
 
@@ -70,9 +71,8 @@ use doubling_metric::nets::NetHierarchy;
 use doubling_metric::space::MetricSpace;
 
 use crate::faults::{FaultPlan, FaultTimeline};
-use crate::naming::Naming;
 use crate::route::{Route, RouteError, RouteRecorder};
-use crate::scheme::{LabeledScheme, NameIndependentScheme};
+use crate::scheme::Target;
 
 /// What to do when an in-flight packet hits a dead node or edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -328,30 +328,28 @@ enum Recovered {
 /// Drives a scheme hop-by-hop against a [`FaultTimeline`], applying a
 /// [`RecoveryPolicy`] at each casualty. See the [module docs](self) for
 /// the policy semantics and the outcome taxonomy.
-pub struct ResilientRouter<'a, S> {
+pub struct ResilientRouter<'a> {
     m: &'a MetricSpace,
-    scheme: &'a S,
     policy: RecoveryPolicy,
     nets: Option<&'a NetHierarchy>,
     oracle: Option<&'a dyn doubling_metric::DistanceProvider>,
     hop_budget: Option<usize>,
 }
 
-impl<'a, S> ResilientRouter<'a, S> {
-    /// A router over `scheme`, climbing the scheme's own hierarchy on
-    /// fallbacks.
-    pub fn new(m: &'a MetricSpace, scheme: &'a S, policy: RecoveryPolicy) -> Self
+impl<'a> ResilientRouter<'a> {
+    /// A router climbing `scheme`'s own hierarchy on fallbacks.
+    pub fn new<S>(m: &'a MetricSpace, scheme: &'a S, policy: RecoveryPolicy) -> Self
     where
-        S: FallbackHierarchy,
+        S: FallbackHierarchy + ?Sized,
     {
         let nets = Some(scheme.fallback_hierarchy());
-        ResilientRouter { m, scheme, policy, nets, oracle: None, hop_budget: None }
+        ResilientRouter { m, policy, nets, oracle: None, hop_budget: None }
     }
 
     /// A router with no hierarchy: [`RecoveryPolicy::LevelFallback`] has
     /// no landmarks to climb to and fails like an exhausted budget.
-    pub fn without_hierarchy(m: &'a MetricSpace, scheme: &'a S, policy: RecoveryPolicy) -> Self {
-        ResilientRouter { m, scheme, policy, nets: None, oracle: None, hop_budget: None }
+    pub fn without_hierarchy(m: &'a MetricSpace, policy: RecoveryPolicy) -> Self {
+        ResilientRouter { m, policy, nets: None, oracle: None, hop_budget: None }
     }
 
     /// Caps the *total* hops of one delivery, independent of any per-policy
@@ -385,26 +383,28 @@ impl<'a, S> ResilientRouter<'a, S> {
         &self.policy
     }
 
-    /// The wrapped scheme.
-    pub fn scheme(&self) -> &S {
-        self.scheme
-    }
-
     /// The metric this router delivers over.
     pub fn metric(&self) -> &MetricSpace {
         self.m
     }
 
+    /// Delivers a packet from `src` to `dst` through `target`, recovering
+    /// per the policy; every re-plan issues a fresh lookup from wherever
+    /// the packet stands. `on_event` observes every recovery decision.
+    ///
     /// The core drive loop: walk the planned path, re-checking every hop
     /// against the epoch active at that hop count; recover on casualties.
-    fn drive(
+    pub fn deliver(
         &self,
+        target: &dyn Target,
         src: NodeId,
         dst: NodeId,
         timeline: &FaultTimeline,
-        plan_from: &mut dyn FnMut(NodeId) -> Result<Route, RouteError>,
         on_event: &mut dyn FnMut(&RecoveryEvent),
     ) -> DeliveryOutcome {
+        let m = self.m;
+        let plan_from: &mut dyn FnMut(NodeId) -> Result<Route, RouteError> =
+            &mut |from| target.route_to(m, from, dst);
         assert_eq!(timeline.n(), self.m.n(), "timeline covers a different node count");
         let lost = |reason: LossReason, reached: NodeId, hops, cost, recoveries| {
             DeliveryOutcome::Lost { reason, progress: Progress { reached, hops, cost, recoveries } }
@@ -714,43 +714,6 @@ impl<'a, S> ResilientRouter<'a, S> {
     }
 }
 
-impl<'a, S: LabeledScheme> ResilientRouter<'a, S> {
-    /// Delivers a packet from `src` to the node the scheme labels
-    /// `label_of(dst)`, recovering per the policy. `on_event` observes
-    /// every recovery decision.
-    pub fn deliver(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        timeline: &FaultTimeline,
-        on_event: &mut dyn FnMut(&RecoveryEvent),
-    ) -> DeliveryOutcome {
-        let target = self.scheme.label_of(dst);
-        let scheme = self.scheme;
-        let m = self.m;
-        self.drive(src, dst, timeline, &mut |from| scheme.route(m, from, target), on_event)
-    }
-}
-
-impl<'a, S: NameIndependentScheme> ResilientRouter<'a, S> {
-    /// Delivers a packet from `src` to the node named `naming.name_of(dst)`
-    /// — every re-plan issues a fresh name-independent lookup from
-    /// wherever the packet stands.
-    pub fn deliver_named(
-        &self,
-        naming: &Naming,
-        src: NodeId,
-        dst: NodeId,
-        timeline: &FaultTimeline,
-        on_event: &mut dyn FnMut(&RecoveryEvent),
-    ) -> DeliveryOutcome {
-        let name = naming.name_of(dst);
-        let scheme = self.scheme;
-        let m = self.m;
-        self.drive(src, dst, timeline, &mut |from| scheme.route(m, from, name), on_event)
-    }
-}
-
 /// One greedy step of a chaos campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosStep {
@@ -844,6 +807,7 @@ pub fn greedy_chaos(
 mod tests {
     use super::*;
     use crate::baseline::FullTable;
+    use crate::scheme::{ByLabel, LabeledScheme};
     use doubling_metric::gen;
 
     fn deliver_on_grid(
@@ -859,8 +823,8 @@ mod tests {
             plan.kill_node(k);
         }
         let timeline = FaultTimeline::from_plan(plan);
-        let router = ResilientRouter::without_hierarchy(&m, &scheme, policy);
-        router.deliver(src, dst, &timeline, &mut |_| {})
+        let router = ResilientRouter::without_hierarchy(&m, policy);
+        router.deliver(&ByLabel(&scheme), src, dst, &timeline, &mut |_| {})
     }
 
     #[test]
@@ -874,15 +838,16 @@ mod tests {
         let policy = RecoveryPolicy::LocalDetour { ttl: 8 };
         let lazy = doubling_metric::OnDemandDijkstra::new(g, 2);
         for (src, dst) in [(0, 3), (0, 15), (4, 7)] {
-            let plain = ResilientRouter::without_hierarchy(&m, &scheme, policy.clone()).deliver(
+            let plain = ResilientRouter::without_hierarchy(&m, policy.clone()).deliver(
+                &ByLabel(&scheme),
                 src,
                 dst,
                 &timeline,
                 &mut |_| {},
             );
-            let via_oracle = ResilientRouter::without_hierarchy(&m, &scheme, policy.clone())
+            let via_oracle = ResilientRouter::without_hierarchy(&m, policy.clone())
                 .with_distance_oracle(&lazy)
-                .deliver(src, dst, &timeline, &mut |_| {});
+                .deliver(&ByLabel(&scheme), src, dst, &timeline, &mut |_| {});
             assert_eq!(plain, via_oracle, "oracle changed the outcome for {src} -> {dst}");
         }
     }
@@ -923,9 +888,9 @@ mod tests {
         let mut plan = FaultPlan::none(16);
         plan.kill_node(1);
         let timeline = FaultTimeline::from_plan(plan);
-        let router =
-            ResilientRouter::without_hierarchy(&m, &scheme, RecoveryPolicy::LocalDetour { ttl: 4 });
-        let out = router.deliver(0, 3, &timeline, &mut |e| events.push(e.clone()));
+        let router = ResilientRouter::without_hierarchy(&m, RecoveryPolicy::LocalDetour { ttl: 4 });
+        let out =
+            router.deliver(&ByLabel(&scheme), 0, 3, &timeline, &mut |e| events.push(e.clone()));
         match out {
             DeliveryOutcome::Delivered { stretch, detour_hops, recoveries, route } => {
                 assert_eq!(recoveries, 1);
@@ -1012,8 +977,8 @@ mod tests {
         let mut late = FaultPlan::none(8);
         late.kill_node(5);
         let tl = FaultTimeline::new(vec![FaultPlan::none(8), late], 3).unwrap();
-        let router = ResilientRouter::without_hierarchy(&m, &scheme, RecoveryPolicy::Drop);
-        let out = router.deliver(0, 7, &tl, &mut |_| {});
+        let router = ResilientRouter::without_hierarchy(&m, RecoveryPolicy::Drop);
+        let out = router.deliver(&ByLabel(&scheme), 0, 7, &tl, &mut |_| {});
         match out {
             DeliveryOutcome::Lost { reason, progress } => {
                 assert!(matches!(
@@ -1028,7 +993,7 @@ mod tests {
         // The same delivery departing later (shorter remaining route)
         // still dies; but a destination on the near side of the casualty
         // is fine.
-        let ok = router.deliver(0, 4, &tl, &mut |_| {});
+        let ok = router.deliver(&ByLabel(&scheme), 0, 4, &tl, &mut |_| {});
         assert!(ok.is_delivered());
     }
 
@@ -1078,7 +1043,8 @@ mod tests {
         let timeline = FaultTimeline::from_plan(FaultPlan::none(6));
         // Without a budget the 18-lap prelude stays under the recorder's
         // 64·n + 64 guard and the packet arrives (at absurd stretch).
-        let free = ResilientRouter::without_hierarchy(&m, &scheme, RecoveryPolicy::Drop).deliver(
+        let free = ResilientRouter::without_hierarchy(&m, RecoveryPolicy::Drop).deliver(
+            &ByLabel(&scheme),
             0,
             3,
             &timeline,
@@ -1086,9 +1052,9 @@ mod tests {
         );
         assert!(free.is_delivered(), "got {free:?}");
         // A deployment-style budget cuts the loop off deterministically.
-        let capped = ResilientRouter::without_hierarchy(&m, &scheme, RecoveryPolicy::Drop)
+        let capped = ResilientRouter::without_hierarchy(&m, RecoveryPolicy::Drop)
             .with_hop_budget(6)
-            .deliver(0, 3, &timeline, &mut |_| {});
+            .deliver(&ByLabel(&scheme), 0, 3, &timeline, &mut |_| {});
         match capped {
             DeliveryOutcome::Lost { reason: LossReason::HopBudget, progress } => {
                 assert_eq!(progress.hops, 6);
@@ -1097,12 +1063,13 @@ mod tests {
         }
         // Arriving exactly on the budget still delivers: 0 → 3 on the
         // cycle is 3 hops for the full-table baseline.
-        let exact = {
-            let ft = FullTable::new(&m);
-            ResilientRouter::without_hierarchy(&m, &ft, RecoveryPolicy::Drop)
-                .with_hop_budget(3)
-                .deliver(0, 3, &timeline, &mut |_| {})
-        };
+        let exact =
+            {
+                let ft = FullTable::new(&m);
+                ResilientRouter::without_hierarchy(&m, RecoveryPolicy::Drop)
+                    .with_hop_budget(3)
+                    .deliver(&ByLabel(&ft), 0, 3, &timeline, &mut |_| {})
+            };
         assert!(exact.is_delivered(), "got {exact:?}");
     }
 
@@ -1127,15 +1094,14 @@ mod tests {
         let candidates: Vec<NodeId> = (0..7).collect();
         let outcome = greedy_chaos(7, &candidates, 3, |plan| {
             let tl = FaultTimeline::from_plan(plan.clone());
-            let router = ResilientRouter::without_hierarchy(
-                &m,
-                &scheme,
-                RecoveryPolicy::LocalDetour { ttl: 8 },
-            );
+            let router =
+                ResilientRouter::without_hierarchy(&m, RecoveryPolicy::LocalDetour { ttl: 8 });
             pairs
                 .iter()
                 .filter(|&&(u, v)| !plan.is_node_dead(u) && !plan.is_node_dead(v))
-                .filter(|&&(u, v)| !router.deliver(u, v, &tl, &mut |_| {}).is_delivered())
+                .filter(|&&(u, v)| {
+                    !router.deliver(&ByLabel(&scheme), u, v, &tl, &mut |_| {}).is_delivered()
+                })
                 .count()
         });
         assert!(outcome.plan.is_node_dead(3), "chaos must kill the bridge vertex");
@@ -1147,15 +1113,14 @@ mod tests {
         // Deterministic: same inputs, same campaign.
         let again = greedy_chaos(7, &candidates, 3, |plan| {
             let tl = FaultTimeline::from_plan(plan.clone());
-            let router = ResilientRouter::without_hierarchy(
-                &m,
-                &scheme,
-                RecoveryPolicy::LocalDetour { ttl: 8 },
-            );
+            let router =
+                ResilientRouter::without_hierarchy(&m, RecoveryPolicy::LocalDetour { ttl: 8 });
             pairs
                 .iter()
                 .filter(|&&(u, v)| !plan.is_node_dead(u) && !plan.is_node_dead(v))
-                .filter(|&&(u, v)| !router.deliver(u, v, &tl, &mut |_| {}).is_delivered())
+                .filter(|&&(u, v)| {
+                    !router.deliver(&ByLabel(&scheme), u, v, &tl, &mut |_| {}).is_delivered()
+                })
                 .count()
         });
         assert_eq!(outcome, again);

@@ -1,5 +1,22 @@
 //! Evaluation harness: run a scheme over a sample of source–destination
 //! pairs and aggregate the quantities the paper's tables report.
+//!
+//! Every evaluator takes the scheme as a [`Target`] (see [`crate::scheme`]),
+//! so one evaluator serves labeled and name-independent schemes alike. There
+//! is one evaluator per result kind: [`eval`] ([`EvalResult`]),
+//! [`sampled_stretch`] ([`SampledStretch`]), [`eval_under_faults`]
+//! ([`FaultEvalResult`]) and [`eval_resilient`] ([`RecoveryEvalResult`]),
+//! plus [`eval_par`], which splits [`eval`]'s fold across threads.
+//!
+//! # Observers
+//!
+//! Each serial evaluator takes a per-pair observer, the seam telemetry
+//! layers attach to without this crate depending on them (pass
+//! `|_, _, _| {}` to observe nothing). The contract is the same for all
+//! of them: the observer is called exactly once per *attempted* pair, in
+//! pair order, after the evaluator has verified and folded the pair's
+//! outcome. Pairs a fault evaluator skips for a dead endpoint are not
+//! attempted and are not observed. Observation never changes the result.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -9,10 +26,9 @@ use doubling_metric::provider::DistanceProvider;
 use doubling_metric::space::MetricSpace;
 
 use crate::faults::{FaultPlan, FaultTimeline};
-use crate::naming::Naming;
 use crate::recovery::{DeliveryOutcome, LossReason, RecoveryEvent, ResilientRouter};
 use crate::route::{Route, RouteError};
-use crate::scheme::{LabeledScheme, NameIndependentScheme};
+use crate::scheme::Target;
 
 /// Aggregated measurements for one scheme on one graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,9 +62,26 @@ pub struct EvalResult {
 /// cross-check route costs against [`doubling_metric::shortest_paths::Apsp`].
 pub const UNDERSTRETCH_TOL: f64 = 1e-9;
 
-/// Counts stretch values strictly below `1 - UNDERSTRETCH_TOL`.
+/// Whether a measured stretch is an under-stretch accounting violation:
+/// strictly below `1 - UNDERSTRETCH_TOL`. The one rule every counter of
+/// under-stretch routes applies.
+pub fn is_understretch(stretch: f64) -> bool {
+    stretch < 1.0 - UNDERSTRETCH_TOL
+}
+
 fn count_understretch(stretches: &[f64]) -> usize {
-    stretches.iter().filter(|&&s| s < 1.0 - UNDERSTRETCH_TOL).count()
+    stretches.iter().filter(|&&s| is_understretch(s)).count()
+}
+
+/// `(max, mean)` of the stretches, `(1.0, 1.0)` when there are none. No
+/// clamping: an observed max below 1.0 is a real signal and is reported
+/// as-is, with the violation count kept separately.
+fn max_and_mean(stretches: &[f64]) -> (f64, f64) {
+    if stretches.is_empty() {
+        return (1.0, 1.0);
+    }
+    let max = stretches.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    (max, stretches.iter().sum::<f64>() / stretches.len() as f64)
 }
 
 impl EvalResult {
@@ -59,18 +92,7 @@ impl EvalResult {
         tables: &[u64],
         max_header_bits: u64,
     ) -> Self {
-        // No clamping: an observed max below 1.0 is a real signal and is
-        // reported as-is, with the violation count in `understretch`.
-        let max_stretch = if stretches.is_empty() {
-            1.0
-        } else {
-            stretches.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-        };
-        let avg_stretch = if stretches.is_empty() {
-            1.0
-        } else {
-            stretches.iter().sum::<f64>() / stretches.len() as f64
-        };
+        let (max_stretch, avg_stretch) = max_and_mean(stretches);
         let max_table_bits = tables.iter().cloned().max().unwrap_or(0);
         let avg_table_bits = if tables.is_empty() {
             0.0
@@ -120,113 +142,108 @@ pub fn all_pairs(n: usize) -> Vec<(NodeId, NodeId)> {
     out
 }
 
-/// Evaluates a labeled scheme over the given pairs, verifying every route.
+/// The per-pair fold behind [`eval`] and [`eval_par`]: verified routes,
+/// in pair order.
+#[derive(Default)]
+struct EvalFold {
+    stretches: Vec<f64>,
+    failures: usize,
+    max_header: u64,
+}
+
+impl EvalFold {
+    fn add(&mut self, m: &MetricSpace, v: NodeId, res: &Result<Route, RouteError>) {
+        match res {
+            Ok(r) => {
+                assert_eq!(r.dst, v, "route delivered to the wrong node");
+                r.verify(m).expect("route must verify");
+                self.max_header = self.max_header.max(r.max_header_bits);
+                self.stretches.push(r.stretch(m));
+            }
+            Err(_) => self.failures += 1,
+        }
+    }
+
+    fn finish(self, target: &dyn Target, m: &MetricSpace) -> EvalResult {
+        let tables: Vec<u64> = (0..m.n() as NodeId).map(|u| target.table_bits(u)).collect();
+        EvalResult::from_parts(
+            target.scheme_name(),
+            &self.stretches,
+            self.failures,
+            &tables,
+            self.max_header,
+        )
+    }
+}
+
+/// Evaluates a scheme over the given pairs, verifying every route, and
+/// calls `observe(u, v, outcome)` per pair (see the
+/// [module docs](self#observers)).
 ///
 /// # Panics
 ///
 /// Panics if a delivered route fails trace verification or ends at the
 /// wrong node — those are simulator-level invariants, not measurements.
-pub fn eval_labeled<S: LabeledScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    pairs: &[(NodeId, NodeId)],
-) -> EvalResult {
-    eval_labeled_observed(scheme, m, pairs, |_, _, _| {})
-}
-
-/// [`eval_labeled`] with a per-pair observer hook: `observe(u, v, outcome)`
-/// is called once per pair with the already-verified route (or the error).
-/// The aggregation is identical to [`eval_labeled`]; the hook exists so an
-/// observability layer can attach without `netsim` depending on it.
-///
-/// # Panics
-///
-/// As [`eval_labeled`].
-pub fn eval_labeled_observed<S, F>(
-    scheme: &S,
+pub fn eval<F>(
+    target: &dyn Target,
     m: &MetricSpace,
     pairs: &[(NodeId, NodeId)],
     mut observe: F,
 ) -> EvalResult
 where
-    S: LabeledScheme,
     F: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
 {
-    let mut stretches = Vec::with_capacity(pairs.len());
-    let mut failures = 0usize;
-    let mut max_header = 0u64;
+    let mut fold = EvalFold { stretches: Vec::with_capacity(pairs.len()), ..EvalFold::default() };
     for &(u, v) in pairs {
-        let res = scheme.route(m, u, scheme.label_of(v));
-        match &res {
-            Ok(r) => {
-                assert_eq!(r.dst, v, "labeled route delivered to the wrong node");
-                r.verify(m).expect("route must verify");
-                max_header = max_header.max(r.max_header_bits);
-                stretches.push(r.stretch(m));
-            }
-            Err(_) => failures += 1,
-        }
+        let res = target.route_to(m, u, v);
+        fold.add(m, v, &res);
         observe(u, v, &res);
     }
-    let tables: Vec<u64> = (0..m.n() as NodeId).map(|u| scheme.table_bits(u)).collect();
-    EvalResult::from_parts(scheme.scheme_name(), &stretches, failures, &tables, max_header)
+    fold.finish(target, m)
 }
 
-/// Evaluates a name-independent scheme over the given pairs under `naming`.
+/// [`eval`] without an observer, with the pairs split across `threads` OS
+/// threads (schemes route through `&self`, so any `Sync` target works).
+/// Chunks fold in pair order and merge in chunk order, so the result is
+/// identical to [`eval`]'s, floating-point sums included.
 ///
 /// # Panics
 ///
-/// Panics if a delivered route fails verification or ends at the wrong
-/// node.
-pub fn eval_name_independent<S: NameIndependentScheme>(
-    scheme: &S,
+/// As [`eval`].
+pub fn eval_par(
+    target: &(dyn Target + Sync),
     m: &MetricSpace,
-    naming: &Naming,
     pairs: &[(NodeId, NodeId)],
+    threads: usize,
 ) -> EvalResult {
-    eval_name_independent_observed(scheme, m, naming, pairs, |_, _, _| {})
-}
-
-/// [`eval_name_independent`] with a per-pair observer hook; see
-/// [`eval_labeled_observed`].
-///
-/// # Panics
-///
-/// As [`eval_name_independent`].
-pub fn eval_name_independent_observed<S, F>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    pairs: &[(NodeId, NodeId)],
-    mut observe: F,
-) -> EvalResult
-where
-    S: NameIndependentScheme,
-    F: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
-{
-    let mut stretches = Vec::with_capacity(pairs.len());
-    let mut failures = 0usize;
-    let mut max_header = 0u64;
-    for &(u, v) in pairs {
-        let res = scheme.route(m, u, naming.name_of(v));
-        match &res {
-            Ok(r) => {
-                assert_eq!(r.dst, v, "name-independent route delivered to the wrong node");
-                r.verify(m).expect("route must verify");
-                max_header = max_header.max(r.max_header_bits);
-                stretches.push(r.stretch(m));
-            }
-            Err(_) => failures += 1,
-        }
-        observe(u, v, &res);
+    let threads = threads.max(1).min(pairs.len().max(1));
+    let chunk = pairs.len().div_ceil(threads).max(1);
+    let partials: Vec<EvalFold> = std::thread::scope(|s| {
+        let handles: Vec<_> = pairs
+            .chunks(chunk)
+            .map(|slice| {
+                s.spawn(move || {
+                    let mut fold = EvalFold::default();
+                    for &(u, v) in slice {
+                        fold.add(m, v, &target.route_to(m, u, v));
+                    }
+                    fold
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+    });
+    let mut fold = EvalFold { stretches: Vec::with_capacity(pairs.len()), ..EvalFold::default() };
+    for p in partials {
+        fold.stretches.extend(p.stretches);
+        fold.failures += p.failures;
+        fold.max_header = fold.max_header.max(p.max_header);
     }
-    let tables: Vec<u64> = (0..m.n() as NodeId).map(|u| scheme.table_bits(u)).collect();
-    EvalResult::from_parts(scheme.scheme_name(), &stretches, failures, &tables, max_header)
+    fold.finish(target, m)
 }
 
 /// Sampled-pair stretch statistics with a 95% confidence interval on the
-/// mean, produced by [`sampled_stretch_labeled`] /
-/// [`sampled_stretch_name_independent`].
+/// mean, produced by [`sampled_stretch`].
 ///
 /// The point statistics (`mean`, `p99`, `max`) use the backend's
 /// [`DistanceProvider::dist`] as denominator. With an exact backend they
@@ -306,110 +323,43 @@ impl SampledStretch {
     }
 }
 
-/// Evaluates a labeled scheme over sampled pairs, taking stretch
-/// denominators from `provider` instead of the dense matrix — the
-/// scalable evaluation path. Routing still simulates over `m` (schemes
-/// walk real shortest-path trees); only the *measurement* denominator
-/// goes through the backend, which is what lets certification-grade
-/// exactness be traded for `O(k·n)` memory at large `n`.
+/// Evaluates a scheme over sampled pairs, taking stretch denominators
+/// from `provider` instead of the dense matrix — the scalable evaluation
+/// path — and calls `observe(u, v, outcome)` per pair (see the
+/// [module docs](self#observers)). Routing still simulates over `m`
+/// (schemes walk real shortest-path trees); only the *measurement*
+/// denominator goes through the backend, which is what lets
+/// certification-grade exactness be traded for `O(k·n)` memory at large
+/// `n`.
 ///
 /// # Panics
 ///
 /// Panics if a delivered route fails verification or ends at the wrong
 /// node, or if `provider` covers a different node count than `m`.
-pub fn sampled_stretch_labeled<S: LabeledScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    provider: &dyn DistanceProvider,
-    pairs: &[(NodeId, NodeId)],
-) -> SampledStretch {
-    sampled_stretch_labeled_observed(scheme, m, provider, pairs, |_, _, _| {})
-}
-
-/// [`sampled_stretch_labeled`] with a per-pair observer hook, called with
-/// the endpoints and the routing outcome before the pair is folded into
-/// the statistics — the seam telemetry layers (flight recorders, metrics
-/// registries) attach to without this crate depending on them. The
-/// returned document is identical to the unobserved variant's.
-///
-/// # Panics
-///
-/// As [`sampled_stretch_labeled`].
-pub fn sampled_stretch_labeled_observed<S, F>(
-    scheme: &S,
+pub fn sampled_stretch<F>(
+    target: &dyn Target,
     m: &MetricSpace,
     provider: &dyn DistanceProvider,
     pairs: &[(NodeId, NodeId)],
     mut observe: F,
 ) -> SampledStretch
 where
-    S: LabeledScheme,
     F: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
 {
     assert_eq!(provider.n(), m.n(), "provider covers a different node count");
     let mut obs = Vec::with_capacity(pairs.len());
     let mut failures = 0usize;
     for &(u, v) in pairs {
-        let res = scheme.route(m, u, scheme.label_of(v));
-        observe(u, v, &res);
-        match res {
+        let res = target.route_to(m, u, v);
+        match &res {
             Ok(r) => {
-                assert_eq!(r.dst, v, "labeled route delivered to the wrong node");
+                assert_eq!(r.dst, v, "route delivered to the wrong node");
                 r.verify(m).expect("route must verify");
                 obs.push((r.cost, provider.dist_bounds(u, v)));
             }
             Err(_) => failures += 1,
         }
-    }
-    SampledStretch::from_observations(&obs, failures, provider.is_exact())
-}
-
-/// Name-independent variant of [`sampled_stretch_labeled`].
-///
-/// # Panics
-///
-/// As [`sampled_stretch_labeled`].
-pub fn sampled_stretch_name_independent<S: NameIndependentScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    provider: &dyn DistanceProvider,
-    pairs: &[(NodeId, NodeId)],
-) -> SampledStretch {
-    sampled_stretch_name_independent_observed(scheme, m, naming, provider, pairs, |_, _, _| {})
-}
-
-/// Name-independent variant of [`sampled_stretch_labeled_observed`].
-///
-/// # Panics
-///
-/// As [`sampled_stretch_labeled`].
-pub fn sampled_stretch_name_independent_observed<S, F>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    provider: &dyn DistanceProvider,
-    pairs: &[(NodeId, NodeId)],
-    mut observe: F,
-) -> SampledStretch
-where
-    S: NameIndependentScheme,
-    F: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
-{
-    assert_eq!(provider.n(), m.n(), "provider covers a different node count");
-    let mut obs = Vec::with_capacity(pairs.len());
-    let mut failures = 0usize;
-    for &(u, v) in pairs {
-        let res = scheme.route(m, u, naming.name_of(v));
         observe(u, v, &res);
-        match res {
-            Ok(r) => {
-                assert_eq!(r.dst, v, "name-independent route delivered to the wrong node");
-                r.verify(m).expect("route must verify");
-                obs.push((r.cost, provider.dist_bounds(u, v)));
-            }
-            Err(_) => failures += 1,
-        }
     }
     SampledStretch::from_observations(&obs, failures, provider.is_exact())
 }
@@ -457,17 +407,7 @@ impl FaultEvalResult {
     ) -> Self {
         let delivered = stretches.len();
         let reachability = if attempted == 0 { 1.0 } else { delivered as f64 / attempted as f64 };
-        // As in `EvalResult::from_parts`: no clamp, under-stretch counted.
-        let max_stretch = if stretches.is_empty() {
-            1.0
-        } else {
-            stretches.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-        };
-        let avg_stretch = if stretches.is_empty() {
-            1.0
-        } else {
-            stretches.iter().sum::<f64>() / stretches.len() as f64
-        };
+        let (max_stretch, avg_stretch) = max_and_mean(stretches);
         FaultEvalResult {
             scheme,
             attempted,
@@ -483,18 +423,25 @@ impl FaultEvalResult {
     }
 }
 
-/// Shared fault-eval accumulation over per-pair route outcomes.
-fn eval_under_faults_impl<F, O>(
-    scheme_name: &'static str,
+/// Evaluates a scheme routing with *stale tables* under `faults`
+/// ([`Target::route_with_faults`]): reachability, surviving-route
+/// stretch, and loss breakdown. `observe(u, v, outcome)` sees each
+/// attempted pair, so every individual loss is attributable (see the
+/// [module docs](self#observers)).
+///
+/// # Panics
+///
+/// Panics if a delivered route fails verification or ends at the wrong
+/// node.
+pub fn eval_under_faults<F>(
+    target: &dyn Target,
     m: &MetricSpace,
     faults: &FaultPlan,
     pairs: &[(NodeId, NodeId)],
-    mut route_pair: F,
-    mut observe: O,
+    mut observe: F,
 ) -> FaultEvalResult
 where
-    F: FnMut(NodeId, NodeId) -> Result<Route, RouteError>,
-    O: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
+    F: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
 {
     let mut stretches = Vec::new();
     let mut attempted = 0usize;
@@ -504,7 +451,7 @@ where
             continue; // dead endpoint: out of the denominator entirely
         }
         attempted += 1;
-        let res = route_pair(u, v);
+        let res = target.route_with_faults(m, u, v, faults);
         match &res {
             Ok(r) => {
                 assert_eq!(r.dst, v, "fault-free delivery must reach the destination");
@@ -517,86 +464,8 @@ where
         }
         observe(u, v, &res);
     }
-    FaultEvalResult::from_outcomes(
-        scheme_name,
-        attempted,
-        &stretches,
-        lost_node,
-        lost_edge,
-        lost_other,
-    )
-}
-
-/// Evaluates a labeled scheme routing with *stale tables* under `faults`:
-/// reachability, surviving-route stretch, and loss breakdown.
-pub fn eval_labeled_under_faults<S: LabeledScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    faults: &FaultPlan,
-    pairs: &[(NodeId, NodeId)],
-) -> FaultEvalResult {
-    eval_labeled_under_faults_observed(scheme, m, faults, pairs, |_, _, _| {})
-}
-
-/// [`eval_labeled_under_faults`] with a per-pair observer hook, so each
-/// individual loss (node kill, edge kill) is attributable; see
-/// [`eval_labeled_observed`]. Pairs skipped for dead endpoints are not
-/// observed.
-pub fn eval_labeled_under_faults_observed<S, O>(
-    scheme: &S,
-    m: &MetricSpace,
-    faults: &FaultPlan,
-    pairs: &[(NodeId, NodeId)],
-    observe: O,
-) -> FaultEvalResult
-where
-    S: LabeledScheme,
-    O: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
-{
-    eval_under_faults_impl(
-        scheme.scheme_name(),
-        m,
-        faults,
-        pairs,
-        |u, v| scheme.route_with_faults(m, u, scheme.label_of(v), faults),
-        observe,
-    )
-}
-
-/// Evaluates a name-independent scheme routing with *stale tables* under
-/// `faults`.
-pub fn eval_name_independent_under_faults<S: NameIndependentScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    faults: &FaultPlan,
-    pairs: &[(NodeId, NodeId)],
-) -> FaultEvalResult {
-    eval_name_independent_under_faults_observed(scheme, m, naming, faults, pairs, |_, _, _| {})
-}
-
-/// [`eval_name_independent_under_faults`] with a per-pair observer hook;
-/// see [`eval_labeled_under_faults_observed`].
-pub fn eval_name_independent_under_faults_observed<S, O>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    faults: &FaultPlan,
-    pairs: &[(NodeId, NodeId)],
-    observe: O,
-) -> FaultEvalResult
-where
-    S: NameIndependentScheme,
-    O: FnMut(NodeId, NodeId, &Result<Route, RouteError>),
-{
-    eval_under_faults_impl(
-        scheme.scheme_name(),
-        m,
-        faults,
-        pairs,
-        |u, v| scheme.route_with_faults(m, u, naming.name_of(v), faults),
-        observe,
-    )
+    let name = target.scheme_name();
+    FaultEvalResult::from_outcomes(name, attempted, &stretches, lost_node, lost_edge, lost_other)
 }
 
 /// Aggregated measurements for one scheme delivering under a
@@ -607,7 +476,7 @@ where
 /// endpoint dead in the timeline's *initial* epoch are out of the
 /// denominator (a dead customer, not a routing failure); with the `Drop`
 /// policy and a single-epoch timeline the delivered/lost split is
-/// identical to [`eval_labeled_under_faults`].
+/// identical to [`eval_under_faults`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryEvalResult {
     /// Scheme display name.
@@ -649,20 +518,32 @@ pub struct RecoveryEvalResult {
     pub understretch: usize,
 }
 
-/// Shared resilient-eval accumulation over per-pair delivery outcomes.
-fn eval_resilient_impl<D, O>(
-    scheme_name: &'static str,
-    policy: String,
-    m: &MetricSpace,
+/// Evaluates a scheme delivering under `timeline` through `router`,
+/// applying the router's recovery policy: delivered fraction, stretch of
+/// survivors (detours included), recovery/detour totals, and a loss
+/// taxonomy. `on_event(u, v, ev)` fires for every recovery decision
+/// mid-delivery, and `observe(u, v, outcome)` once per attempted pair
+/// (see the [module docs](self#observers)); pairs skipped for dead
+/// endpoints see neither hook.
+///
+/// # Panics
+///
+/// Panics if a delivered route misdelivers, fails [`Route::verify`], or
+/// does not replay cleanly under [`FaultTimeline::check_route`] — those
+/// are simulator invariants, not measurements.
+pub fn eval_resilient<E, O>(
+    router: &ResilientRouter<'_>,
+    target: &dyn Target,
     timeline: &FaultTimeline,
     pairs: &[(NodeId, NodeId)],
-    mut deliver_pair: D,
+    mut on_event: E,
     mut observe: O,
 ) -> RecoveryEvalResult
 where
-    D: FnMut(NodeId, NodeId) -> DeliveryOutcome,
+    E: FnMut(NodeId, NodeId, &RecoveryEvent),
     O: FnMut(NodeId, NodeId, &DeliveryOutcome),
 {
+    let m = router.metric();
     let initial = timeline.initial();
     let mut stretches = Vec::new();
     let mut attempted = 0usize;
@@ -675,7 +556,7 @@ where
             continue; // dead endpoint: out of the denominator entirely
         }
         attempted += 1;
-        let outcome = deliver_pair(u, v);
+        let outcome = router.deliver(target, u, v, timeline, &mut |ev| on_event(u, v, ev));
         match &outcome {
             DeliveryOutcome::Delivered { stretch, detour_hops, recoveries, route } => {
                 assert_eq!(route.dst, v, "resilient delivery must reach the destination");
@@ -706,19 +587,10 @@ where
     }
     let delivered = stretches.len();
     let delivered_fraction = if attempted == 0 { 1.0 } else { delivered as f64 / attempted as f64 };
-    let max_stretch = if stretches.is_empty() {
-        1.0
-    } else {
-        stretches.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-    };
-    let avg_stretch = if stretches.is_empty() {
-        1.0
-    } else {
-        stretches.iter().sum::<f64>() / stretches.len() as f64
-    };
+    let (max_stretch, avg_stretch) = max_and_mean(&stretches);
     RecoveryEvalResult {
-        scheme: scheme_name,
-        policy,
+        scheme: target.scheme_name(),
+        policy: router.policy().to_string(),
         attempted,
         delivered,
         delivered_fraction,
@@ -735,111 +607,11 @@ where
     }
 }
 
-/// Evaluates a labeled scheme delivering under `timeline` with the
-/// router's recovery policy: delivered fraction, stretch of survivors
-/// (detours included), recovery/detour totals, and a loss taxonomy.
-///
-/// # Panics
-///
-/// Panics if a delivered route misdelivers, fails [`Route::verify`], or
-/// does not replay cleanly under [`FaultTimeline::check_route`] — those
-/// are simulator invariants, not measurements.
-pub fn eval_labeled_resilient<S: LabeledScheme>(
-    router: &ResilientRouter<'_, S>,
-    timeline: &FaultTimeline,
-    pairs: &[(NodeId, NodeId)],
-) -> RecoveryEvalResult {
-    eval_labeled_resilient_observed(router, timeline, pairs, |_, _, _| {}, |_, _, _| {})
-}
-
-/// [`eval_labeled_resilient`] with observer hooks: `on_event(u, v, ev)`
-/// fires for every recovery decision mid-delivery, and
-/// `observe(u, v, outcome)` once per attempted pair — the seams the `obs`
-/// tracing layer attaches to. Pairs skipped for dead endpoints see
-/// neither hook.
-///
-/// # Panics
-///
-/// As [`eval_labeled_resilient`].
-pub fn eval_labeled_resilient_observed<S, E, O>(
-    router: &ResilientRouter<'_, S>,
-    timeline: &FaultTimeline,
-    pairs: &[(NodeId, NodeId)],
-    mut on_event: E,
-    observe: O,
-) -> RecoveryEvalResult
-where
-    S: LabeledScheme,
-    E: FnMut(NodeId, NodeId, &RecoveryEvent),
-    O: FnMut(NodeId, NodeId, &DeliveryOutcome),
-{
-    eval_resilient_impl(
-        LabeledScheme::scheme_name(router.scheme()),
-        router.policy().to_string(),
-        router.metric(),
-        timeline,
-        pairs,
-        |u, v| router.deliver(u, v, timeline, &mut |ev| on_event(u, v, ev)),
-        observe,
-    )
-}
-
-/// Evaluates a name-independent scheme delivering under `timeline` with
-/// the router's recovery policy; see [`eval_labeled_resilient`].
-///
-/// # Panics
-///
-/// As [`eval_labeled_resilient`].
-pub fn eval_name_independent_resilient<S: NameIndependentScheme>(
-    router: &ResilientRouter<'_, S>,
-    naming: &Naming,
-    timeline: &FaultTimeline,
-    pairs: &[(NodeId, NodeId)],
-) -> RecoveryEvalResult {
-    eval_name_independent_resilient_observed(
-        router,
-        naming,
-        timeline,
-        pairs,
-        |_, _, _| {},
-        |_, _, _| {},
-    )
-}
-
-/// [`eval_name_independent_resilient`] with observer hooks; see
-/// [`eval_labeled_resilient_observed`].
-///
-/// # Panics
-///
-/// As [`eval_labeled_resilient`].
-pub fn eval_name_independent_resilient_observed<S, E, O>(
-    router: &ResilientRouter<'_, S>,
-    naming: &Naming,
-    timeline: &FaultTimeline,
-    pairs: &[(NodeId, NodeId)],
-    mut on_event: E,
-    observe: O,
-) -> RecoveryEvalResult
-where
-    S: NameIndependentScheme,
-    E: FnMut(NodeId, NodeId, &RecoveryEvent),
-    O: FnMut(NodeId, NodeId, &DeliveryOutcome),
-{
-    eval_resilient_impl(
-        NameIndependentScheme::scheme_name(router.scheme()),
-        router.policy().to_string(),
-        router.metric(),
-        timeline,
-        pairs,
-        |u, v| router.deliver_named(naming, u, v, timeline, &mut |ev| on_event(u, v, ev)),
-        observe,
-    )
-}
-
 /// Stretch quantiles over a set of routed pairs — the measurement behind
 /// the paper's concluding open question (can relaxing the guarantee for a
 /// small fraction of pairs buy better stretch?): the distribution shows
-/// how far below the worst case typical routes sit.
+/// how far below the worst case typical routes sit. The raw stretches
+/// come from an [`eval`] observer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StretchQuantiles {
     /// Median stretch.
@@ -866,130 +638,16 @@ impl StretchQuantiles {
     }
 }
 
-/// Routes all pairs with a name-independent scheme and returns the raw
-/// stretch values (for quantile analysis).
-///
-/// # Panics
-///
-/// Panics if any route fails, misdelivers, or does not verify.
-pub fn stretch_samples_ni<S: NameIndependentScheme>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    pairs: &[(NodeId, NodeId)],
-) -> Vec<f64> {
-    pairs
-        .iter()
-        .map(|&(u, v)| {
-            let r = scheme.route(m, u, naming.name_of(v)).expect("route must deliver");
-            assert_eq!(r.dst, v);
-            r.stretch(m)
-        })
-        .collect()
-}
-
-/// Parallel variant of [`eval_labeled`]: splits the pairs across
-/// `threads` OS threads (schemes route through `&self`, so any `Sync`
-/// scheme works). Results are identical to the serial version.
-pub fn eval_labeled_par<S: LabeledScheme + Sync>(
-    scheme: &S,
-    m: &MetricSpace,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> EvalResult {
-    let threads = threads.max(1).min(pairs.len().max(1));
-    let chunk = pairs.len().div_ceil(threads);
-    let partials: Vec<(Vec<f64>, usize, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk.max(1))
-            .map(|slice| {
-                s.spawn(move || {
-                    let mut stretches = Vec::with_capacity(slice.len());
-                    let mut failures = 0usize;
-                    let mut max_header = 0u64;
-                    for &(u, v) in slice {
-                        match scheme.route(m, u, scheme.label_of(v)) {
-                            Ok(r) => {
-                                assert_eq!(r.dst, v);
-                                r.verify(m).expect("route must verify");
-                                max_header = max_header.max(r.max_header_bits);
-                                stretches.push(r.stretch(m));
-                            }
-                            Err(_) => failures += 1,
-                        }
-                    }
-                    (stretches, failures, max_header)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
-    let mut stretches = Vec::with_capacity(pairs.len());
-    let mut failures = 0;
-    let mut max_header = 0;
-    for (s, f, h) in partials {
-        stretches.extend(s);
-        failures += f;
-        max_header = max_header.max(h);
-    }
-    let tables: Vec<u64> = (0..m.n() as NodeId).map(|u| scheme.table_bits(u)).collect();
-    EvalResult::from_parts(scheme.scheme_name(), &stretches, failures, &tables, max_header)
-}
-
-/// Parallel variant of [`eval_name_independent`].
-pub fn eval_name_independent_par<S: NameIndependentScheme + Sync>(
-    scheme: &S,
-    m: &MetricSpace,
-    naming: &Naming,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> EvalResult {
-    let threads = threads.max(1).min(pairs.len().max(1));
-    let chunk = pairs.len().div_ceil(threads);
-    let partials: Vec<(Vec<f64>, usize, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk.max(1))
-            .map(|slice| {
-                s.spawn(move || {
-                    let mut stretches = Vec::with_capacity(slice.len());
-                    let mut failures = 0usize;
-                    let mut max_header = 0u64;
-                    for &(u, v) in slice {
-                        match scheme.route(m, u, naming.name_of(v)) {
-                            Ok(r) => {
-                                assert_eq!(r.dst, v);
-                                r.verify(m).expect("route must verify");
-                                max_header = max_header.max(r.max_header_bits);
-                                stretches.push(r.stretch(m));
-                            }
-                            Err(_) => failures += 1,
-                        }
-                    }
-                    (stretches, failures, max_header)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
-    let mut stretches = Vec::with_capacity(pairs.len());
-    let mut failures = 0;
-    let mut max_header = 0;
-    for (s, f, h) in partials {
-        stretches.extend(s);
-        failures += f;
-        max_header = max_header.max(h);
-    }
-    let tables: Vec<u64> = (0..m.n() as NodeId).map(|u| scheme.table_bits(u)).collect();
-    EvalResult::from_parts(scheme.scheme_name(), &stretches, failures, &tables, max_header)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline::FullTable;
     use doubling_metric::gen;
 
+    use crate::naming::Naming;
+    use crate::recovery::RecoveryPolicy;
     use crate::route::RouteRecorder;
+    use crate::scheme::{ByLabel, ByName, LabeledScheme};
     use doubling_metric::{LandmarkEstimator, OnDemandDijkstra};
     use std::sync::Arc;
 
@@ -1029,9 +687,9 @@ mod tests {
         let g = Arc::new(gen::grid(6, 6));
         let m = MetricSpace::from_shared(Arc::clone(&g), 1);
         let pairs = sample_pairs(m.n(), 150, 9);
-        let via_matrix = sampled_stretch_labeled(&HubScheme, &m, &m, &pairs);
+        let via_matrix = sampled_stretch(&ByLabel(&HubScheme), &m, &m, &pairs, |_, _, _| {});
         let lazy = OnDemandDijkstra::new(Arc::clone(&g), 4);
-        let via_lazy = sampled_stretch_labeled(&HubScheme, &m, &lazy, &pairs);
+        let via_lazy = sampled_stretch(&ByLabel(&HubScheme), &m, &lazy, &pairs, |_, _, _| {});
         assert_eq!(via_matrix, via_lazy);
         assert!(via_matrix.exact);
         assert_eq!(via_matrix.mean, via_matrix.mean_upper);
@@ -1045,9 +703,9 @@ mod tests {
         let g = Arc::new(gen::grid(7, 6));
         let m = MetricSpace::from_shared(Arc::clone(&g), 1);
         let pairs = sample_pairs(m.n(), 200, 4);
-        let exact = sampled_stretch_labeled(&HubScheme, &m, &m, &pairs);
+        let exact = sampled_stretch(&ByLabel(&HubScheme), &m, &m, &pairs, |_, _, _| {});
         let lm = LandmarkEstimator::new(&g, 6);
-        let est = sampled_stretch_labeled(&HubScheme, &m, &lm, &pairs);
+        let est = sampled_stretch(&ByLabel(&HubScheme), &m, &lm, &pairs, |_, _, _| {});
         assert!(!est.exact);
         assert!(
             est.mean <= exact.mean + 1e-12 && exact.mean <= est.mean_upper + 1e-12,
@@ -1062,12 +720,13 @@ mod tests {
     fn sampled_ci_covers_exhaustive_mean_on_at_least_90_percent_of_seeds() {
         let m = MetricSpace::new(&gen::grid(10, 10));
         // Exhaustive oracle value: mean stretch over every ordered pair.
-        let truth = sampled_stretch_labeled(&HubScheme, &m, &m, &all_pairs(m.n())).mean;
+        let truth =
+            sampled_stretch(&ByLabel(&HubScheme), &m, &m, &all_pairs(m.n()), |_, _, _| {}).mean;
         let trials = 40usize;
         let covered = (0..trials)
             .filter(|&seed| {
                 let pairs = sample_pairs(m.n(), 400, seed as u64);
-                let s = sampled_stretch_labeled(&HubScheme, &m, &m, &pairs);
+                let s = sampled_stretch(&ByLabel(&HubScheme), &m, &m, &pairs, |_, _, _| {});
                 (s.mean - truth).abs() <= s.ci_half_width
             })
             .count();
@@ -1083,7 +742,7 @@ mod tests {
         let nm = Naming::random(16, 5);
         let s = FullTable::with_naming(&m, nm.clone());
         let pairs = sample_pairs(16, 60, 2);
-        let res = sampled_stretch_name_independent(&s, &m, &nm, &m, &pairs);
+        let res = sampled_stretch(&ByName(&s, &nm), &m, &m, &pairs, |_, _, _| {});
         assert_eq!(res.failures, 0);
         assert!((res.mean - 1.0).abs() < 1e-12);
         assert_eq!(res.ci_half_width, 0.0);
@@ -1110,7 +769,7 @@ mod tests {
     fn baseline_eval_has_unit_stretch() {
         let m = MetricSpace::new(&gen::grid(5, 5));
         let s = FullTable::new(&m);
-        let res = eval_labeled(&s, &m, &all_pairs(25));
+        let res = eval(&ByLabel(&s), &m, &all_pairs(25), |_, _, _| {});
         assert_eq!(res.failures, 0);
         assert_eq!(res.routes, 600);
         assert!((res.max_stretch - 1.0).abs() < 1e-12);
@@ -1123,7 +782,7 @@ mod tests {
         let m = MetricSpace::new(&gen::grid(4, 4));
         let nm = Naming::random(16, 5);
         let s = FullTable::with_naming(&m, nm.clone());
-        let res = eval_name_independent(&s, &m, &nm, &sample_pairs(16, 40, 1));
+        let res = eval(&ByName(&s, &nm), &m, &sample_pairs(16, 40, 1), |_, _, _| {});
         assert_eq!(res.failures, 0);
         assert!((res.max_stretch - 1.0).abs() < 1e-12);
     }
@@ -1133,9 +792,9 @@ mod tests {
         let m = MetricSpace::new(&gen::grid(6, 6));
         let s = FullTable::new(&m);
         let pairs = sample_pairs(36, 120, 2);
-        let serial = eval_labeled(&s, &m, &pairs);
+        let serial = eval(&ByLabel(&s), &m, &pairs, |_, _, _| {});
         for threads in [1usize, 2, 4, 7] {
-            let par = eval_labeled_par(&s, &m, &pairs, threads);
+            let par = eval_par(&ByLabel(&s), &m, &pairs, threads);
             assert_eq!(par.routes, serial.routes);
             assert!((par.max_stretch - serial.max_stretch).abs() < 1e-12);
             assert!((par.avg_stretch - serial.avg_stretch).abs() < 1e-9);
@@ -1150,8 +809,8 @@ mod tests {
         let nm = Naming::random(25, 3);
         let s = FullTable::with_naming(&m, nm.clone());
         let pairs = sample_pairs(25, 80, 4);
-        let serial = eval_name_independent(&s, &m, &nm, &pairs);
-        let par = eval_name_independent_par(&s, &m, &nm, &pairs, 3);
+        let serial = eval(&ByName(&s, &nm), &m, &pairs, |_, _, _| {});
+        let par = eval_par(&ByName(&s, &nm), &m, &pairs, 3);
         assert_eq!(par.routes, serial.routes);
         assert!((par.avg_stretch - serial.avg_stretch).abs() < 1e-9);
     }
@@ -1161,7 +820,7 @@ mod tests {
         let m = MetricSpace::new(&gen::grid(3, 3));
         let s = FullTable::new(&m);
         let pairs = sample_pairs(9, 3, 5);
-        let par = eval_labeled_par(&s, &m, &pairs, 64);
+        let par = eval_par(&ByLabel(&s), &m, &pairs, 64);
         assert_eq!(par.routes, 3);
     }
 
@@ -1203,43 +862,66 @@ mod tests {
         assert_eq!(empty.understretch, 0);
     }
 
-    #[test]
-    fn observed_eval_sees_every_pair_and_matches_plain() {
-        let m = MetricSpace::new(&gen::grid(4, 4));
-        let s = FullTable::new(&m);
-        let pairs = sample_pairs(16, 25, 9);
-        let mut seen = Vec::new();
-        let observed = eval_labeled_observed(&s, &m, &pairs, |u, v, res| {
-            assert!(res.is_ok());
-            seen.push((u, v));
-        });
-        assert_eq!(seen, pairs);
-        assert_eq!(observed, eval_labeled(&s, &m, &pairs));
+    /// Records the pairs an observer sees, asserting nothing else.
+    fn seen<T: ?Sized>(log: &mut Vec<(NodeId, NodeId)>) -> impl FnMut(NodeId, NodeId, &T) + '_ {
+        |u, v, _| log.push((u, v))
     }
 
     #[test]
-    fn observed_ni_eval_matches_plain() {
-        let m = MetricSpace::new(&gen::grid(4, 4));
-        let nm = Naming::random(16, 5);
+    fn observed_eval_sees_every_pair_and_matches_plain() {
+        // Every evaluator: the observer sees each attempted pair exactly once,
+        // in pair order, and observing never changes the result.
+        let m = MetricSpace::new(&gen::grid(5, 5));
+        let nm = Naming::random(25, 5);
         let s = FullTable::with_naming(&m, nm.clone());
-        let pairs = sample_pairs(16, 25, 9);
-        let mut count = 0usize;
-        let observed = eval_name_independent_observed(&s, &m, &nm, &pairs, |_, _, _| count += 1);
-        assert_eq!(count, pairs.len());
-        assert_eq!(observed, eval_name_independent(&s, &m, &nm, &pairs));
+        let pairs = sample_pairs(25, 60, 9);
+        for target in [&ByLabel(&s) as &dyn Target, &ByName(&s, &nm)] {
+            let mut log = Vec::new();
+            let observed = eval(target, &m, &pairs, seen(&mut log));
+            assert_eq!(log, pairs, "eval");
+            assert_eq!(observed, eval(target, &m, &pairs, |_, _, _| {}));
+
+            let mut log = Vec::new();
+            let observed = sampled_stretch(target, &m, &m, &pairs, seen(&mut log));
+            assert_eq!(log, pairs, "sampled_stretch");
+            assert_eq!(observed, sampled_stretch(target, &m, &m, &pairs, |_, _, _| {}));
+
+            let faults = FaultPlan::random_nodes(25, 0.2, 11);
+            let attempted: Vec<_> = pairs
+                .iter()
+                .copied()
+                .filter(|&(u, v)| !faults.is_node_dead(u) && !faults.is_node_dead(v))
+                .collect();
+            assert!(attempted.len() < pairs.len(), "some pairs must be skipped");
+            let mut log = Vec::new();
+            let observed = eval_under_faults(target, &m, &faults, &pairs, seen(&mut log));
+            assert_eq!(log, attempted, "eval_under_faults");
+            assert_eq!(observed, eval_under_faults(target, &m, &faults, &pairs, |_, _, _| {}));
+
+            let timeline = FaultTimeline::from_plan(faults);
+            let router =
+                ResilientRouter::without_hierarchy(&m, RecoveryPolicy::LocalDetour { ttl: 8 });
+            let mut log = Vec::new();
+            let observed =
+                eval_resilient(&router, target, &timeline, &pairs, |_, _, _| {}, seen(&mut log));
+            assert_eq!(log, attempted, "eval_resilient");
+            let plain =
+                eval_resilient(&router, target, &timeline, &pairs, |_, _, _| {}, |_, _, _| {});
+            assert_eq!(observed, plain);
+        }
     }
 
     #[test]
     fn resilient_drop_single_epoch_matches_legacy_fault_eval() {
-        use crate::recovery::{RecoveryPolicy, ResilientRouter};
         let m = MetricSpace::new(&gen::grid(5, 5));
         let s = FullTable::new(&m);
         let pairs = sample_pairs(25, 80, 7);
         let faults = FaultPlan::random_nodes(25, 0.2, 11);
-        let legacy = eval_labeled_under_faults(&s, &m, &faults, &pairs);
+        let legacy = eval_under_faults(&ByLabel(&s), &m, &faults, &pairs, |_, _, _| {});
         let timeline = FaultTimeline::from_plan(faults);
-        let router = ResilientRouter::without_hierarchy(&m, &s, RecoveryPolicy::Drop);
-        let res = eval_labeled_resilient(&router, &timeline, &pairs);
+        let router = ResilientRouter::without_hierarchy(&m, RecoveryPolicy::Drop);
+        let res =
+            eval_resilient(&router, &ByLabel(&s), &timeline, &pairs, |_, _, _| {}, |_, _, _| {});
         assert_eq!(res.attempted, legacy.attempted);
         assert_eq!(res.delivered, legacy.delivered);
         assert_eq!(res.lost_to_node, legacy.lost_to_node);
@@ -1255,20 +937,23 @@ mod tests {
 
     #[test]
     fn resilient_detour_delivers_at_least_as_much_as_drop() {
-        use crate::recovery::{RecoveryPolicy, ResilientRouter};
         let m = MetricSpace::new(&gen::grid(6, 6));
         let s = FullTable::new(&m);
         let pairs = sample_pairs(36, 120, 3);
         let faults = FaultPlan::random_nodes(36, 0.15, 5);
         let timeline = FaultTimeline::from_plan(faults);
-        let drop = eval_labeled_resilient(
-            &ResilientRouter::without_hierarchy(&m, &s, RecoveryPolicy::Drop),
+        let drop = eval_resilient(
+            &ResilientRouter::without_hierarchy(&m, RecoveryPolicy::Drop),
+            &ByLabel(&s),
             &timeline,
             &pairs,
+            |_, _, _| {},
+            |_, _, _| {},
         );
         let mut events = 0usize;
-        let detour = eval_labeled_resilient_observed(
-            &ResilientRouter::without_hierarchy(&m, &s, RecoveryPolicy::LocalDetour { ttl: 8 }),
+        let detour = eval_resilient(
+            &ResilientRouter::without_hierarchy(&m, RecoveryPolicy::LocalDetour { ttl: 8 }),
+            &ByLabel(&s),
             &timeline,
             &pairs,
             |_, _, _| events += 1,
@@ -1282,28 +967,22 @@ mod tests {
 
     #[test]
     fn resilient_ni_eval_delivers_under_faults() {
-        use crate::recovery::{RecoveryPolicy, ResilientRouter};
         let m = MetricSpace::new(&gen::grid(5, 5));
         let nm = Naming::random(25, 5);
         let s = FullTable::with_naming(&m, nm.clone());
         let pairs = sample_pairs(25, 60, 13);
         let faults = FaultPlan::random_nodes(25, 0.2, 17);
-        let legacy = eval_name_independent_under_faults(&s, &m, &nm, &faults, &pairs);
+        let target = ByName(&s, &nm);
+        let legacy = eval_under_faults(&target, &m, &faults, &pairs, |_, _, _| {});
         let timeline = FaultTimeline::from_plan(faults);
-        let drop = eval_name_independent_resilient(
-            &ResilientRouter::without_hierarchy(&m, &s, RecoveryPolicy::Drop),
-            &nm,
-            &timeline,
-            &pairs,
-        );
+        let resilient = |policy| {
+            let router = ResilientRouter::without_hierarchy(&m, policy);
+            eval_resilient(&router, &target, &timeline, &pairs, |_, _, _| {}, |_, _, _| {})
+        };
+        let drop = resilient(RecoveryPolicy::Drop);
         assert_eq!(drop.delivered, legacy.delivered);
         assert_eq!(drop.attempted, legacy.attempted);
-        let detour = eval_name_independent_resilient(
-            &ResilientRouter::without_hierarchy(&m, &s, RecoveryPolicy::LocalDetour { ttl: 8 }),
-            &nm,
-            &timeline,
-            &pairs,
-        );
+        let detour = resilient(RecoveryPolicy::LocalDetour { ttl: 8 });
         assert!(detour.delivered >= drop.delivered);
     }
 
@@ -1313,7 +992,8 @@ mod tests {
         let nm = Naming::random(16, 5);
         let s = FullTable::with_naming(&m, nm.clone());
         let pairs = sample_pairs(16, 30, 1);
-        let samples = stretch_samples_ni(&s, &m, &nm, &pairs);
+        let mut samples = Vec::new();
+        eval(&ByName(&s, &nm), &m, &pairs, |_, _, r| samples.push(r.as_ref().unwrap().stretch(&m)));
         assert_eq!(samples.len(), 30);
         assert!(samples.iter().all(|&x| (x - 1.0).abs() < 1e-12));
     }

@@ -13,9 +13,8 @@ use doubling_metric::Eps;
 use labeled_routing::{NetLabeled, ScaleFreeLabeled};
 use name_independent::{ScaleFreeNameIndependent, SimpleNameIndependent};
 use netsim::naming::Naming;
-use netsim::stats::{
-    all_pairs, eval_labeled, eval_labeled_par, eval_name_independent, eval_name_independent_par,
-};
+use netsim::scheme::{ByLabel, ByName};
+use netsim::stats::{all_pairs, eval, eval_par};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -27,17 +26,17 @@ fn labeled_par_eval_matches_sequential_exactly() {
         let pairs = all_pairs(m.n());
 
         let nl = NetLabeled::new(&m, eps).expect("eps within range");
-        let seq = eval_labeled(&nl, &m, &pairs);
+        let seq = eval(&ByLabel(&nl), &m, &pairs, |_, _, _| {});
         for t in THREAD_COUNTS {
-            assert_eq!(seq, eval_labeled_par(&nl, &m, &pairs, t), "net-labeled, {t} threads");
+            assert_eq!(seq, eval_par(&ByLabel(&nl), &m, &pairs, t), "net-labeled, {t} threads");
         }
 
         let sfl = ScaleFreeLabeled::new(&m, eps).expect("eps within range");
-        let seq = eval_labeled(&sfl, &m, &pairs);
+        let seq = eval(&ByLabel(&sfl), &m, &pairs, |_, _, _| {});
         for t in THREAD_COUNTS {
             assert_eq!(
                 seq,
-                eval_labeled_par(&sfl, &m, &pairs, t),
+                eval_par(&ByLabel(&sfl), &m, &pairs, t),
                 "scale-free labeled, {t} threads"
             );
         }
@@ -53,22 +52,22 @@ fn name_independent_par_eval_matches_sequential_exactly() {
         let pairs = all_pairs(m.n());
 
         let sni = SimpleNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-        let seq = eval_name_independent(&sni, &m, &naming, &pairs);
+        let seq = eval(&ByName(&sni, &naming), &m, &pairs, |_, _, _| {});
         for t in THREAD_COUNTS {
             assert_eq!(
                 seq,
-                eval_name_independent_par(&sni, &m, &naming, &pairs, t),
+                eval_par(&ByName(&sni, &naming), &m, &pairs, t),
                 "simple name-independent, {t} threads"
             );
         }
 
         let sfni =
             ScaleFreeNameIndependent::new(&m, eps, naming.clone()).expect("eps within range");
-        let seq = eval_name_independent(&sfni, &m, &naming, &pairs);
+        let seq = eval(&ByName(&sfni, &naming), &m, &pairs, |_, _, _| {});
         for t in THREAD_COUNTS {
             assert_eq!(
                 seq,
-                eval_name_independent_par(&sfni, &m, &naming, &pairs, t),
+                eval_par(&ByName(&sfni, &naming), &m, &pairs, t),
                 "scale-free name-independent, {t} threads"
             );
         }
@@ -83,11 +82,11 @@ fn par_eval_matches_on_degenerate_pair_lists() {
     let eps = Eps::one_over(8);
     let nl = NetLabeled::new(&m, eps).expect("eps within range");
     for pairs in [Vec::new(), vec![(0u32, 8u32)]] {
-        let seq = eval_labeled(&nl, &m, &pairs);
+        let seq = eval(&ByLabel(&nl), &m, &pairs, |_, _, _| {});
         for t in THREAD_COUNTS {
             assert_eq!(
                 seq,
-                eval_labeled_par(&nl, &m, &pairs, t),
+                eval_par(&ByLabel(&nl), &m, &pairs, t),
                 "{} pairs, {t} threads",
                 pairs.len()
             );

@@ -24,13 +24,10 @@ use doubling_metric::graph::NodeId;
 use netsim::json::Value;
 use netsim::recovery::{DeliveryOutcome, RecoveryEvent};
 use netsim::route::{Route, RouteError};
+use netsim::stats::is_understretch;
 
 /// Default ring capacity used by the experiment binaries.
 pub const DEFAULT_CAPACITY: usize = 64;
-
-/// Stretch below `1 − UNDERSTRETCH_TOL` flags an under-stretch anomaly
-/// (same tolerance as [`netsim::stats`]).
-const UNDERSTRETCH_TOL: f64 = 1e-9;
 
 /// One edge traversal: the node arrived at and the segment (label, level)
 /// that governed the hop.
@@ -174,12 +171,12 @@ impl FlightRecorder {
     }
 
     /// Records a delivered route; flags `"understretch"` when `stretch`
-    /// falls below 1 beyond float tolerance.
+    /// is one by [`is_understretch`].
     pub fn record_route(&mut self, src: NodeId, dst: NodeId, route: &Route, stretch: f64) {
         if self.cap == 0 {
             return;
         }
-        let anomaly = (stretch < 1.0 - UNDERSTRETCH_TOL).then_some("understretch");
+        let anomaly = is_understretch(stretch).then_some("understretch");
         let hops = route
             .hops
             .iter()

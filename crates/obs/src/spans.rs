@@ -91,9 +91,9 @@ impl RouteMetrics {
     }
 
     /// Records a route's measured stretch, counting under-stretch
-    /// violations (stretch < 1 beyond float tolerance).
+    /// violations ([`netsim::stats::is_understretch`]).
     pub fn record_stretch(&mut self, stretch: f64) {
-        if stretch < 1.0 - 1e-9 {
+        if netsim::stats::is_understretch(stretch) {
             self.understretch.inc();
         }
     }

@@ -4,10 +4,11 @@
 //!   `NetLabeled` route on a 5×5 grid (the crate-docs example route), and
 //!   asserts the structural invariant behind Figures 1/2: the segment
 //!   spans partition the route's recorded cost and hop count exactly.
-//! * The no-op test pins the zero-overhead contract: evaluating through
-//!   [`obs::eval::eval_labeled_traced`] with [`Tracer::noop`] produces a
-//!   bit-identical [`EvalResult`] to the plain harness and records
-//!   nothing.
+//! * The no-op test pins the zero-overhead contract: evaluating with
+//!   [`obs::eval::route_observer`] over [`Tracer::noop`] and disabled
+//!   sinks produces a bit-identical
+//!   [`EvalResult`](netsim::stats::EvalResult) to the plain harness and
+//!   records nothing.
 //!
 //! Regenerate the golden file with
 //! `UPDATE_GOLDEN=1 cargo test -p obs --test golden_route`.
@@ -16,10 +17,11 @@ use doubling_metric::{gen, Eps, MetricSpace};
 use labeled_routing::NetLabeled;
 use name_independent::SimpleNameIndependent;
 use netsim::json::Value;
-use netsim::stats::{eval_labeled, eval_name_independent, sample_pairs};
-use netsim::{LabeledScheme, NameIndependentScheme, Naming};
+use netsim::stats::{eval, sample_pairs};
+use netsim::{ByLabel, ByName, LabeledScheme, NameIndependentScheme, Naming, Target};
+use obs::eval::route_observer;
 use obs::spans::segment_span_sum;
-use obs::{route_span_tree, RouteMetrics, Tracer};
+use obs::{route_span_tree, FlightRecorder, MetricsRegistry, RouteMetrics, Tracer};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/route_span_tree.json");
 
@@ -87,23 +89,21 @@ fn noop_traced_eval_is_bit_identical_to_plain_eval_and_records_nothing() {
     let pairs = sample_pairs(m.n(), 60, 5);
 
     let nl = NetLabeled::new(&m, Eps::one_over(8)).unwrap();
-    let plain = eval_labeled(&nl, &m, &pairs);
-    let tracer = Tracer::noop();
-    let mut rm = RouteMetrics::new();
-    let traced = obs::eval::eval_labeled_traced(&nl, &m, &pairs, &tracer, &mut rm);
-    assert_eq!(traced, plain, "no-op tracing must not perturb the evaluation");
-    assert_eq!(rm.cost.count(), pairs.len() as u64);
-    let log = tracer.finish();
-    assert!(log.spans.is_empty() && log.events.is_empty(), "no-op tracer must record nothing");
-
     let sni = SimpleNameIndependent::new(&m, Eps::one_over(8), naming.clone()).unwrap();
-    let plain = eval_name_independent(&sni, &m, &naming, &pairs);
-    let tracer = Tracer::noop();
-    let mut rm = RouteMetrics::new();
-    let traced =
-        obs::eval::eval_name_independent_traced(&sni, &m, &naming, &pairs, &tracer, &mut rm);
-    assert_eq!(traced, plain);
-    assert!(tracer.finish().to_jsonl().is_empty());
+    for target in [&ByLabel(&nl) as &dyn Target, &ByName(&sni, &naming)] {
+        let plain = eval(target, &m, &pairs, |_, _, _| {});
+        let tracer = Tracer::noop();
+        let registry = MetricsRegistry::disabled();
+        let mut rm = RouteMetrics::new();
+        let mut flight = FlightRecorder::disabled();
+        let observer = route_observer(&m, &tracer, &mut rm, &registry, &mut flight);
+        let traced = eval(target, &m, &pairs, observer);
+        assert_eq!(traced, plain, "no-op tracing must not perturb the evaluation");
+        assert_eq!(rm.cost.count(), pairs.len() as u64);
+        assert!(registry.snapshot().counter("eval.routes").is_none());
+        let log = tracer.finish();
+        assert!(log.spans.is_empty() && log.events.is_empty(), "no-op tracer must record nothing");
+    }
 }
 
 #[test]
@@ -112,9 +112,13 @@ fn recording_traced_eval_emits_one_route_event_per_pair() {
     let nl = NetLabeled::new(&m, Eps::one_over(8)).unwrap();
     let pairs = sample_pairs(m.n(), 30, 9);
     let tracer = Tracer::recording();
+    let registry = MetricsRegistry::new();
     let mut rm = RouteMetrics::new();
-    let res = obs::eval::eval_labeled_traced(&nl, &m, &pairs, &tracer, &mut rm);
+    let mut flight = FlightRecorder::disabled();
+    let observer = route_observer(&m, &tracer, &mut rm, &registry, &mut flight);
+    let res = eval(&ByLabel(&nl), &m, &pairs, observer);
     assert_eq!(res.failures, 0);
+    assert_eq!(registry.snapshot().counter("eval.routes"), Some(pairs.len() as u64));
     let log = tracer.finish();
     assert_eq!(log.events.len(), pairs.len());
     for e in &log.events {

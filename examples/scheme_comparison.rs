@@ -5,7 +5,8 @@
 //! Run with: `cargo run --example scheme_comparison`
 
 use compact_routing::netsim::baseline::FullTable;
-use compact_routing::netsim::stats::{eval_labeled, eval_name_independent, sample_pairs};
+use compact_routing::netsim::scheme::{ByLabel, ByName};
+use compact_routing::netsim::stats::{eval, sample_pairs};
 use compact_routing::{gen, Eps, MetricSpace, Naming};
 use compact_routing::{
     NetLabeled, ScaleFreeLabeled, ScaleFreeNameIndependent, SimpleNameIndependent,
@@ -35,23 +36,23 @@ fn main() {
         };
 
         let nl = NetLabeled::new(&metric, eps).unwrap();
-        let r = eval_labeled(&nl, &metric, &pairs);
+        let r = eval(&ByLabel(&nl), &metric, &pairs, |_, _, _| {});
         show(r.scheme, r.max_stretch, r.avg_stretch, r.max_table_bits, r.max_header_bits);
 
         let sfl = ScaleFreeLabeled::new(&metric, eps).unwrap();
-        let r = eval_labeled(&sfl, &metric, &pairs);
+        let r = eval(&ByLabel(&sfl), &metric, &pairs, |_, _, _| {});
         show(r.scheme, r.max_stretch, r.avg_stretch, r.max_table_bits, r.max_header_bits);
 
         let sni = SimpleNameIndependent::new(&metric, eps, naming.clone()).unwrap();
-        let r = eval_name_independent(&sni, &metric, &naming, &pairs);
+        let r = eval(&ByName(&sni, &naming), &metric, &pairs, |_, _, _| {});
         show(r.scheme, r.max_stretch, r.avg_stretch, r.max_table_bits, r.max_header_bits);
 
         let sfni = ScaleFreeNameIndependent::new(&metric, eps, naming.clone()).unwrap();
-        let r = eval_name_independent(&sfni, &metric, &naming, &pairs);
+        let r = eval(&ByName(&sfni, &naming), &metric, &pairs, |_, _, _| {});
         show(r.scheme, r.max_stretch, r.avg_stretch, r.max_table_bits, r.max_header_bits);
 
         let full = FullTable::with_naming(&metric, naming.clone());
-        let r = eval_name_independent(&full, &metric, &naming, &pairs);
+        let r = eval(&ByName(&full, &naming), &metric, &pairs, |_, _, _| {});
         show(
             "full-table (baseline)",
             r.max_stretch,
